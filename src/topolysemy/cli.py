@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
-from ._util import ParseError
+from ._util import ParseError, atomic_write_text
 from .embeddings import load_count_table, load_vec_file
 from .metrics import pearson_with_p, save_score_report, score_keys
 from .tps import load_tps_csv, save_tps_csv, tps_batch
@@ -32,31 +31,8 @@ from .wsi import (
     run_opn,
     write_key,
 )
-from ._util import atomic_write_text
 
 _OOV_LIST_CAP = 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved arguments of one CLI invocation."""
-
-    subcommand: str
-    vectors: str | None = None
-    words: str | None = None
-    all_words: bool = False
-    instances: str | None = None
-    key: str | None = None
-    gold: str | None = None
-    tps_csv: str | None = None
-    counts: str | None = None
-    n: int = 50
-    backend: str = "dbscan"
-    eps: float = 0.09
-    min_pts: int = 2
-    k: int | None = None
-    seed: int = 0
-    out: str = ""
 
 
 def _positive_int(text: str) -> int:
@@ -114,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {name: getattr(args, name) for name in vars(args) if name in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields)
-
-
 def _require_file(path: str | None, label: str) -> None:
     if path is None:
         return
@@ -132,28 +103,37 @@ def _require_writable(path: str) -> None:
         raise FileNotFoundError(f"output directory does not exist: {parent}")
 
 
-def _validate_paths(config: RunConfig) -> None:
-    _require_file(config.vectors, "vectors")
-    _require_file(config.words, "words")
-    _require_file(config.instances, "instances")
-    _require_file(config.key, "key")
-    _require_file(config.gold, "gold key")
-    _require_file(config.tps_csv, "tps CSV")
-    _require_file(config.counts, "counts")
-    _require_writable(config.out)
+_INPUT_FILES = (
+    ("vectors", "vectors"),
+    ("words", "words"),
+    ("instances", "instances"),
+    ("key", "key"),
+    ("gold", "gold key"),
+    ("tps_csv", "tps CSV"),
+    ("counts", "counts"),
+)
+
+
+def _validate_paths(args: argparse.Namespace) -> None:
+    for name, label in _INPUT_FILES:
+        _require_file(getattr(args, name, None), label)
+    _require_writable(args.out)
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_tps(config: RunConfig) -> int:
-    embeddings = load_vec_file(config.vectors)
-    if config.all_words:
+def cmd_tps(args: argparse.Namespace) -> int:
+    embeddings = load_vec_file(args.vectors)
+    if args.all_words:
         requested = list(embeddings.words)
     else:
-        with open(config.words, encoding="utf-8") as handle:
-            requested = [line.strip() for line in handle if line.strip()]
+        with open(args.words, encoding="utf-8") as handle:
+            listed = [line.strip() for line in handle if line.strip()]
+        requested = list(dict.fromkeys(listed))
+        if len(requested) < len(listed):
+            _warn(f"skipping {len(listed) - len(requested)} repeated words")
     in_vocab = [w for w in requested if w in embeddings]
     oov = [w for w in requested if w not in embeddings]
     if oov:
@@ -162,47 +142,47 @@ def cmd_tps(config: RunConfig) -> int:
         _warn(f"skipping {len(oov)} out-of-vocabulary words: {shown}{extra}")
     if not in_vocab:
         raise ValueError("no in-vocabulary words to score")
-    reports = tps_batch(embeddings, in_vocab, n=config.n)
-    save_tps_csv(reports, config.out)
-    print(f"wrote {len(reports)} scores (n={config.n}) to {config.out}")
+    reports = tps_batch(embeddings, in_vocab, n=args.n)
+    save_tps_csv(reports, args.out)
+    print(f"wrote {len(reports)} scores (n={args.n}) to {args.out}")
     return 0
 
 
-def cmd_wsi(config: RunConfig) -> int:
-    embeddings = load_vec_file(config.vectors)
-    instances = load_instances(config.instances)
+def cmd_wsi(args: argparse.Namespace) -> int:
+    embeddings = load_vec_file(args.vectors)
+    instances = load_instances(args.instances)
     if not instances:
-        raise ValueError(f"no instances in {config.instances}")
-    if config.backend == "dbscan":
-        backend: DbscanConfig | KmeansConfig = DbscanConfig(eps=config.eps, min_pts=config.min_pts)
+        raise ValueError(f"no instances in {args.instances}")
+    if args.backend == "dbscan":
+        backend: DbscanConfig | KmeansConfig = DbscanConfig(eps=args.eps, min_pts=args.min_pts)
     else:
-        backend = KmeansConfig(k=config.k, seed=config.seed)
-    result = run_opn(embeddings, instances, OpnConfig(n=config.n, backend=backend))
-    write_key(result.key, config.out)
+        backend = KmeansConfig(k=args.k, seed=args.seed)
+    result = run_opn(embeddings, instances, OpnConfig(n=args.n, backend=backend))
+    write_key(result.key, args.out)
     print(
-        f"wrote {len(result.key)} assignments over {len(result.senses)} targets to {config.out}"
+        f"wrote {len(result.key)} assignments over {len(result.senses)} targets to {args.out}"
     )
     return 0
 
 
-def cmd_score(config: RunConfig) -> int:
-    system = load_key(config.key)
-    gold = load_key(config.gold)
+def cmd_score(args: argparse.Namespace) -> int:
+    system = load_key(args.key)
+    gold = load_key(args.gold)
     report = score_keys(system, gold)
-    save_score_report(report, config.out)
+    save_score_report(report, args.out)
     for row in (report.pooled, report.weighted):
         kind = "pooled" if row is report.pooled else "weighted"
         print(
             f"aggregate[{kind}] v_measure={row.v_measure:.6f} "
             f"f_score={row.f_score:.6f} product={row.product:.6f}"
         )
-    print(f"wrote {len(report.per_target)} target rows to {config.out}")
+    print(f"wrote {len(report.per_target)} target rows to {args.out}")
     return 0
 
 
-def cmd_correlate(config: RunConfig) -> int:
-    reports = load_tps_csv(config.tps_csv)
-    counts = load_count_table(config.counts)
+def cmd_correlate(args: argparse.Namespace) -> int:
+    reports = load_tps_csv(args.tps_csv)
+    counts = load_count_table(args.counts)
     joined = [(r.word, r.score, counts[r.word]) for r in reports if r.word in counts]
     if len(joined) < 3:
         raise ValueError(
@@ -212,9 +192,9 @@ def cmd_correlate(config: RunConfig) -> int:
     result = pearson_with_p([s for _, s, _ in joined], [c for _, _, c in joined])
     lines = ["word,tps,count"]
     lines += [f"{word},{score:.6f},{count}" for word, score, count in joined]
-    atomic_write_text(config.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"r={result.r:.6f} p={result.p_value:.6g} n={result.n}")
-    print(f"wrote {len(joined)} rows to {config.out}")
+    print(f"wrote {len(joined)} rows to {args.out}")
     return 0
 
 
@@ -229,10 +209,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        _validate_paths(config)
-        return _COMMANDS[config.subcommand](config)
+        _validate_paths(args)
+        return _COMMANDS[args.subcommand](args)
     except (ParseError, ValueError, KeyError, OSError) as err:
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)

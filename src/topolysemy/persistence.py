@@ -17,6 +17,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 
 from ._util import atomic_write_text
@@ -68,29 +69,11 @@ class PersistenceDiagram:
         return self.bars[:, 1] - self.bars[:, 0]
 
 
-def _condensed_edges(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise Euclidean edges (i, j, weight) in condensed row-major order."""
-    m = points.shape[0]
-    total = m * (m - 1) // 2
-    weights = np.empty(total, dtype=np.float64)
-    ii = np.empty(total, dtype=np.int64)
-    jj = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i in range(m - 1):
-        block = m - 1 - i
-        diff = points[i + 1 :] - points[i]
-        weights[pos : pos + block] = np.sqrt((diff * diff).sum(axis=1))
-        ii[pos : pos + block] = i
-        jj[pos : pos + block] = np.arange(i + 1, m)
-        pos += block
-    return ii, jj, weights
-
-
 def degree0_diagram(points: np.ndarray) -> PersistenceDiagram:
     """Degree-0 diagram of a Euclidean point cloud; m points give m - 1 bars.
 
-    Kruskal over all pairwise edges sorted by weight (stable, so ties keep
-    condensed row-major order); each union contributes one bar (0, weight).
+    The deaths are the single-linkage merge heights, i.e. the MST edge
+    weights, zero-weight edges between coincident points included.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -103,33 +86,8 @@ def degree0_diagram(points: np.ndarray) -> PersistenceDiagram:
     if m == 1:
         return PersistenceDiagram(bars=np.empty((0, 2), dtype=np.float64))
 
-    ii, jj, weights = _condensed_edges(points)
-    order = np.argsort(weights, kind="stable")
-
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    heights: list[float] = []
-    weight_list = weights.tolist()
-    i_list = ii.tolist()
-    j_list = jj.tolist()
-    for e in order.tolist():
-        root_a = find(i_list[e])
-        root_b = find(j_list[e])
-        if root_a == root_b:
-            continue
-        parent[root_b] = root_a
-        heights.append(weight_list[e])
-        if len(heights) == m - 1:
-            break
-
     bars = np.zeros((m - 1, 2), dtype=np.float64)
-    bars[:, 1] = heights
+    bars[:, 1] = linkage(points, "single")[:, 2]
     return PersistenceDiagram(bars=bars)
 
 

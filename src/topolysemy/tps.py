@@ -128,10 +128,6 @@ class PercentileTable:
         return min(100, max(0, math.ceil(fraction * 100.0)))
 
 
-def tps_percentile(table: PercentileTable, word: str) -> int:
-    return table.percentile(word)
-
-
 def predicted_k(percentile: int) -> int:
     """Sense-count prediction from an integer percentile rank.
 

@@ -65,6 +65,31 @@ class TestTpsCommand:
         body = out.read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in body] == ["pivot", "b0w0"]
 
+    def test_repeated_word_scored_once_and_correlates(self, planted_files, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("pivot\nb0w0\nb1w0\npivot\n")
+        out = tmp_path / "scores.csv"
+        rc = main(
+            [
+                "tps",
+                "--vectors", str(planted_files["vectors"]),
+                "--words", str(words),
+                "--n", "10",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert "skipping 1 repeated words" in capsys.readouterr().err
+        body = out.read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in body] == ["pivot", "b0w0", "b1w0"]
+
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("pivot\t9\nb0w0\t4\nb1w0\t1\n")
+        scatter = tmp_path / "scatter.csv"
+        rc = main(["correlate", "--tps", str(out), "--counts", str(counts), "--out", str(scatter)])
+        assert rc == 0, capsys.readouterr().err
+        assert "n=3" in capsys.readouterr().out
+
     def test_all_words_oov_fails(self, planted_files, tmp_path, capsys):
         words = tmp_path / "words.txt"
         words.write_text("ghost\nwraith\n")

@@ -49,13 +49,16 @@ class TestDegree0Diagram:
             assert (d.births == 0.0).all()
 
     def test_matches_single_linkage_oracle_exactly(self, rng):
-        for _ in range(40):
-            m = int(rng.integers(2, 11))
-            dim = int(rng.integers(1, 6))
-            points = random_cloud(rng, m, dim)
-            expected = single_linkage_merge_heights(points.tolist())
-            got = sorted(degree0_diagram(points).deaths.tolist())
-            assert got == expected
+        for dim in (1, 2, 3, 4, 5, 8, 16, 100):
+            for trial in range(12):
+                m = int(rng.integers(2, 13))
+                points = random_cloud(rng, m, dim)
+                if trial % 2:
+                    # A duplicated row: the zero-weight edge must give a (0, 0) bar.
+                    points[-1] = points[int(rng.integers(0, m - 1))]
+                expected = single_linkage_merge_heights(points.tolist())
+                got = sorted(degree0_diagram(points).deaths.tolist())
+                assert got == expected, f"dim={dim} m={m}"
 
     def test_permutation_invariance(self, rng):
         points = random_cloud(rng, 9, 4)

@@ -14,7 +14,6 @@ from topolysemy import (
     predicted_k,
     save_tps_csv,
     tps_batch,
-    tps_percentile,
     tps_score,
 )
 
@@ -118,11 +117,11 @@ class TestPercentileTable:
 
     def test_extremes(self):
         table = self.table()
-        assert tps_percentile(table, "lo") == 0
-        assert tps_percentile(table, "hi") == 100
+        assert table.percentile("lo") == 0
+        assert table.percentile("hi") == 100
 
     def test_exact_midpoint_ceils_to_fifty(self):
-        assert tps_percentile(self.table(), "mid") == 50
+        assert self.table().percentile("mid") == 50
 
     def test_ceiling_rounds_up(self):
         table = PercentileTable(scores={"a": 0.0, "b": 0.001, "c": 1.0})
