@@ -17,9 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Sequence
+
+import numpy as np
 
 from ._util import ParseError, atomic_write_text
-from .embeddings import load_count_table, load_vec_file
+from .embeddings import EmbeddingSet, load_count_table, load_vec_file
 from .metrics import pearson_with_p, save_score_report, score_keys
 from .tps import load_tps_csv, save_tps_csv, tps_batch
 from .wsi import (
@@ -32,7 +35,7 @@ from .wsi import (
     write_key,
 )
 
-_OOV_LIST_CAP = 10
+_LIST_CAP = 10
 
 
 def _positive_int(text: str) -> int:
@@ -124,8 +127,31 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _warn_skipping(kind: str, words: Sequence[str]) -> None:
+    shown = ", ".join(words[:_LIST_CAP])
+    extra = f" (+{len(words) - _LIST_CAP} more)" if len(words) > _LIST_CAP else ""
+    _warn(f"skipping {len(words)} {kind}: {shown}{extra}")
+
+
+def _load_vectors(path: str) -> EmbeddingSet:
+    """Load a .vec file without its zero vectors, which have no direction.
+
+    Dropped words are listed in a warning; to the commands they are then
+    out of vocabulary.
+    """
+    embeddings = load_vec_file(path)
+    zero = np.linalg.norm(embeddings.vectors, axis=1) == 0.0
+    if not zero.any():
+        return embeddings
+    _warn_skipping("zero vectors", [embeddings.words[i] for i in np.flatnonzero(zero)])
+    keep = np.flatnonzero(~zero)
+    return EmbeddingSet(
+        words=tuple(embeddings.words[i] for i in keep), vectors=embeddings.vectors[keep]
+    )
+
+
 def cmd_tps(args: argparse.Namespace) -> int:
-    embeddings = load_vec_file(args.vectors)
+    embeddings = _load_vectors(args.vectors)
     if args.all_words:
         requested = list(embeddings.words)
     else:
@@ -137,9 +163,7 @@ def cmd_tps(args: argparse.Namespace) -> int:
     in_vocab = [w for w in requested if w in embeddings]
     oov = [w for w in requested if w not in embeddings]
     if oov:
-        shown = ", ".join(oov[:_OOV_LIST_CAP])
-        extra = f" (+{len(oov) - _OOV_LIST_CAP} more)" if len(oov) > _OOV_LIST_CAP else ""
-        _warn(f"skipping {len(oov)} out-of-vocabulary words: {shown}{extra}")
+        _warn_skipping("out-of-vocabulary words", oov)
     if not in_vocab:
         raise ValueError("no in-vocabulary words to score")
     reports = tps_batch(embeddings, in_vocab, n=args.n)
@@ -149,7 +173,7 @@ def cmd_tps(args: argparse.Namespace) -> int:
 
 
 def cmd_wsi(args: argparse.Namespace) -> int:
-    embeddings = load_vec_file(args.vectors)
+    embeddings = _load_vectors(args.vectors)
     instances = load_instances(args.instances)
     if not instances:
         raise ValueError(f"no instances in {args.instances}")

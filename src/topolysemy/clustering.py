@@ -9,16 +9,11 @@ reserved for dbscan noise.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-
-from ._util import atomic_write_text
 
 NOISE = -1
 
@@ -83,8 +78,10 @@ def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
     col_parts: list[np.ndarray] = []
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        sims = points[start:stop] @ points.T
-        local_rows, cols = np.nonzero((1.0 - sims) <= eps)
+        distances = points[start:stop] @ points.T
+        # In place, so each chunk allocates one chunk-sized array, not two.
+        np.subtract(1.0, distances, out=distances)
+        local_rows, cols = np.nonzero(distances <= eps)
         row_parts.append(local_rows + start)
         col_parts.append(cols)
     rows = np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.int64)
@@ -178,42 +175,6 @@ def farthest_first_centers(points: np.ndarray, k: int, rng: np.random.Generator)
     return points[np.array(chosen)].copy()
 
 
-def lloyd_iterations(
-    points: np.ndarray,
-    centers: np.ndarray,
-    max_iter: int = 100,
-) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """Lloyd steps from the given centers, yielding (labels, centers, objective).
-
-    Each step assigns points to their nearest center (ties to the lowest
-    center id), repairs any emptied cluster by relocating its center to the
-    point currently farthest from its own center, then recomputes means.
-    Stops at the label fixpoint or after max_iter steps.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    centers = np.array(centers, dtype=np.float64, copy=True)
-    k = centers.shape[0]
-    prev_labels: np.ndarray | None = None
-    for _ in range(max_iter):
-        sq = _squared_distances(points, centers)
-        labels = sq.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        if (counts == 0).any():
-            contributions = sq[np.arange(points.shape[0]), labels].copy()
-            for empty in np.flatnonzero(counts == 0):
-                pick = int(np.argmax(contributions))
-                labels[pick] = empty
-                contributions[pick] = -1.0
-            counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-        objective = float(((points - centers[labels]) ** 2).sum())
-        yield labels.copy(), centers.copy(), objective
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            return
-        prev_labels = labels
-
-
 @dataclass(frozen=True, eq=False)
 class KmeansResult:
     clustering: Clustering
@@ -226,40 +187,41 @@ class KmeansResult:
 def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> KmeansResult:
     """Euclidean Lloyd k-means with seeded farthest-first initialization.
 
-    Deterministic for a fixed seed.  Every cluster id 0..k-1 ends up
-    non-empty (empty clusters are repaired during iteration).
+    Each step assigns points to their nearest center (ties to the lowest
+    center id), repairs any emptied cluster by moving the point currently
+    farthest from its own center into it, then recomputes means.  Stops at
+    the label fixpoint or after max_iter steps.  Deterministic for a fixed
+    seed; every cluster id 0..k-1 ends up non-empty.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-d matrix, got shape {points.shape}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     centers = farthest_first_centers(points, k, rng)
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    objective = float("inf")
-    n_iter = 0
-    converged = False
-    prev: np.ndarray | None = None
-    for labels, centers, objective in lloyd_iterations(points, centers, max_iter=max_iter):
-        n_iter += 1
-        if prev is not None and np.array_equal(labels, prev):
-            converged = True
-        prev = labels
+    # No step labels a point NOISE, so the first step is never a fixpoint.
+    labels = np.full(points.shape[0], NOISE, dtype=np.int64)
+    for n_iter in range(1, max_iter + 1):
+        sq = _squared_distances(points, centers)
+        step = sq.argmin(axis=1)
+        counts = np.bincount(step, minlength=k)
+        if (counts == 0).any():
+            contributions = sq[np.arange(points.shape[0]), step]
+            for empty in np.flatnonzero(counts == 0):
+                pick = int(np.argmax(contributions))
+                step[pick] = empty
+                contributions[pick] = -1.0
+        for c in range(k):
+            centers[c] = points[step == c].mean(axis=0)
+        converged = np.array_equal(step, labels)
+        labels = step
+        if converged:
+            break
     return KmeansResult(
-        clustering=Clustering(labels=labels.astype(np.int64), n_clusters=k),
+        clustering=Clustering(labels=labels, n_clusters=k),
         centers=centers,
-        objective=objective,
+        objective=float(((points - centers[labels]) ** 2).sum()),
         n_iter=n_iter,
         converged=converged,
     )
-
-
-def save_clustering_csv(clustering: Clustering, words: Sequence[str], path) -> None:
-    """Write "word,cluster_id" rows; noise points carry the id -1."""
-    if len(words) != len(clustering):
-        raise ValueError(f"{len(words)} words but {len(clustering)} labels")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "cluster_id"])
-    for word, label in zip(words, clustering.labels.tolist()):
-        writer.writerow([word, str(label)])
-    atomic_write_text(path, buffer.getvalue())

@@ -2,20 +2,16 @@
 
 A neighborhood cloud holds the n vocabulary vectors closest to a center word
 by cosine similarity, never including the center itself.  The projected
-("normalized") cloud recenters each neighbor at the center vector and scales
-it to the unit sphere, which is the input the persistence stage consumes.
+cloud recenters each neighbor at the center vector and scales it to the unit
+sphere, which is the input the persistence stage consumes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text
 from .embeddings import EmbeddingSet
 
 # Neighbors closer to the center than this are treated as coincident and
@@ -27,18 +23,14 @@ COINCIDENT_EPS = 1e-12
 class NeighborhoodCloud:
     """Point cloud around (and excluding) a center word.
 
-    ``points`` rows align with ``words``.  ``normalized`` marks sphere
-    projection; ``skipped`` lists neighbors dropped as coincident with the
-    center; ``truncated`` is set when the vocabulary could not supply the
-    requested number of neighbors.
+    ``points`` rows align with ``words``.  ``skipped`` lists neighbors
+    dropped as coincident with the center during sphere projection.
     """
 
     center: str
     words: tuple[str, ...]
     points: np.ndarray
-    normalized: bool = False
     skipped: tuple[str, ...] = ()
-    truncated: bool = False
 
     def __post_init__(self) -> None:
         points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -57,125 +49,56 @@ class NeighborhoodCloud:
         return len(self.words)
 
 
-def _neighbor_order(embeddings: EmbeddingSet, center_row: int) -> np.ndarray:
-    """All vocabulary rows except the center, nearest by cosine first.
+def punctured_neighborhood(
+    embeddings: EmbeddingSet, word: str, n: int, project: bool = False
+) -> NeighborhoodCloud:
+    """The n nearest neighbors of `word` by cosine similarity, excluding it.
 
-    Equal similarities keep ascending vocabulary order (stable sort on the
-    negated scores).
+    Requires unit-norm embeddings so the dot product is the cosine, and
+    n at most the vocabulary size minus one.  Equal similarities keep
+    ascending vocabulary order (stable sort on the negated scores).
+
+    With ``project``, each neighbor v becomes (v - w) / ||v - w|| for the
+    center vector w.  Neighbors within COINCIDENT_EPS of w cannot be
+    projected: they are listed in ``skipped`` and the next-nearest
+    candidates take their place, so the cloud has fewer than n points only
+    when the vocabulary runs out.
     """
-    sims = embeddings.vectors @ embeddings.vectors[center_row]
-    order = np.argsort(-sims, kind="stable")
-    return order[order != center_row]
-
-
-def _check_neighborhood_args(embeddings: EmbeddingSet, n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > len(embeddings) - 1:
         raise ValueError(f"n={n} exceeds the {len(embeddings) - 1} available neighbors")
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
-
-
-def punctured_neighborhood(embeddings: EmbeddingSet, word: str, n: int) -> NeighborhoodCloud:
-    """The n nearest neighbors of `word` by cosine similarity, excluding it.
-
-    Requires unit-norm embeddings so the dot product is the cosine, and
-    n at most the vocabulary size minus one.
-    """
-    _check_neighborhood_args(embeddings, n)
     center_row = embeddings.row(word)
-    ranked = _neighbor_order(embeddings, center_row)
-    chosen = ranked[:n]
-    return NeighborhoodCloud(
-        center=word,
-        words=tuple(embeddings.words[i] for i in chosen),
-        points=embeddings.vectors[chosen],
-    )
+    vectors = embeddings.vectors
+    center = vectors[center_row]
+    order = np.argsort(-(vectors @ center), kind="stable")
+    ranked = order[order != center_row]
+    if not project:
+        chosen = ranked[:n]
+        return NeighborhoodCloud(
+            center=word,
+            words=tuple(embeddings.words[i] for i in chosen),
+            points=vectors[chosen],
+        )
 
-
-def normalize_cloud(
-    cloud: NeighborhoodCloud,
-    center_vector: np.ndarray,
-    reserve: Sequence[tuple[str, np.ndarray]] = (),
-) -> NeighborhoodCloud:
-    """Recenter at the center vector and project each neighbor to the sphere.
-
-    Each neighbor v becomes (v - w) / ||v - w||.  Neighbors within
-    COINCIDENT_EPS of w cannot be projected: they are recorded in
-    ``skipped`` and replaced from ``reserve`` (further candidates in
-    nearest-first order) so the cloud keeps its size when replacements
-    exist.
-    """
-    center_vector = np.asarray(center_vector, dtype=np.float64)
     kept_words: list[str] = []
     kept_points: list[np.ndarray] = []
     skipped: list[str] = []
-    wanted = len(cloud)
-
-    def admit(word: str, vector: np.ndarray) -> None:
-        offset = np.asarray(vector, dtype=np.float64) - center_vector
+    for row in ranked:
+        offset = vectors[row] - center
         distance = float(np.linalg.norm(offset))
         if distance < COINCIDENT_EPS:
-            skipped.append(word)
-            return
-        kept_words.append(word)
+            skipped.append(embeddings.words[row])
+            continue
+        kept_words.append(embeddings.words[row])
         kept_points.append(offset / distance)
-
-    for word, vector in zip(cloud.words, cloud.points):
-        admit(word, vector)
-    backfill = iter(reserve)
-    while len(kept_words) < wanted:
-        try:
-            word, vector = next(backfill)
-        except StopIteration:
+        if len(kept_words) == n:
             break
-        admit(word, vector)
-
-    points = (
-        np.array(kept_points, dtype=np.float64)
-        if kept_points
-        else np.empty((0, center_vector.shape[0]), dtype=np.float64)
-    )
     return NeighborhoodCloud(
-        center=cloud.center,
-        words=tuple(kept_words),
-        points=points,
-        normalized=True,
-        skipped=tuple(skipped),
-        truncated=cloud.truncated or len(kept_words) < wanted,
-    )
-
-
-def normalized_punctured_neighborhood(
-    embeddings: EmbeddingSet, word: str, n: int
-) -> NeighborhoodCloud:
-    """Punctured neighborhood followed by sphere projection.
-
-    Ranks the whole vocabulary once so coincident neighbors can be replaced
-    by the next-nearest candidates beyond the first n.
-    """
-    _check_neighborhood_args(embeddings, n)
-    center_row = embeddings.row(word)
-    ranked = _neighbor_order(embeddings, center_row)
-    chosen = ranked[:n]
-    cloud = NeighborhoodCloud(
         center=word,
-        words=tuple(embeddings.words[i] for i in chosen),
-        points=embeddings.vectors[chosen],
+        words=tuple(kept_words),
+        points=np.array(kept_points) if kept_points else np.empty((0, embeddings.dim)),
+        skipped=tuple(skipped),
     )
-    reserve = (
-        (embeddings.words[i], embeddings.vectors[i]) for i in ranked[n:]
-    )
-    return normalize_cloud(cloud, embeddings.vectors[center_row], reserve=reserve)
-
-
-def save_cloud_csv(cloud: NeighborhoodCloud, path) -> None:
-    """Write one point per row, d coordinate columns, 9 significant digits."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    dim = cloud.points.shape[1] if cloud.points.size else 0
-    writer.writerow([f"x{i}" for i in range(dim)])
-    for row in cloud.points:
-        writer.writerow(["%.9g" % value for value in row])
-    atomic_write_text(path, buffer.getvalue())

@@ -12,15 +12,11 @@ any bar may instead be matched to its closest diagonal point at cost
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
-
-from ._util import atomic_write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +131,3 @@ def wasserstein_distance(first: PersistenceDiagram, second: PersistenceDiagram) 
 
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
-
-
-def save_diagram_csv(diagram: PersistenceDiagram, path) -> None:
-    """Write "birth,death" rows at 9 significant digits."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["birth", "death"])
-    for birth, death in diagram.bars:
-        writer.writerow(["%.9g" % birth, "%.9g" % death])
-    atomic_write_text(path, buffer.getvalue())

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from ._util import ParseError, atomic_write_text, map_ordered
 from .embeddings import EmbeddingSet, l2_normalize_all
-from .neighborhood import normalized_punctured_neighborhood
+from .neighborhood import punctured_neighborhood
 from .persistence import degree0_diagram, wasserstein_norm
 
 TPS_CSV_PRECISION = "%.6f"
@@ -52,7 +52,7 @@ def tps_score(embeddings: EmbeddingSet, word: str, n: int) -> TpsReport:
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
-    cloud = normalized_punctured_neighborhood(embeddings, word, n)
+    cloud = punctured_neighborhood(embeddings, word, n, project=True)
     diagram = degree0_diagram(cloud.points)
     return TpsReport(
         word=word,

@@ -129,11 +129,10 @@ class KmeansConfig:
 
 @dataclass(frozen=True)
 class OpnConfig:
-    """Neighborhood size, clustering backend, and worker pool size."""
+    """Neighborhood size and clustering backend."""
 
     n: int = 5000
     backend: DbscanConfig | KmeansConfig = DbscanConfig()
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -265,20 +264,13 @@ def run_opn(
     k_by_target: dict[str, int | None] = {t: None for t in targets}
     backend = config.backend
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
-        reports = tps_batch(
-            embeddings,
-            [resolved[t] for t in targets],
-            n=backend.tps_n,
-            workers=config.workers,
-        )
+        reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
         table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
         for t in targets:
             k_by_target[t] = predicted_k(table.percentile(t))
 
     induced = map_ordered(
-        lambda t: induce_senses(embeddings, t, config.n, backend, k=k_by_target[t]),
-        targets,
-        workers=config.workers,
+        lambda t: induce_senses(embeddings, t, config.n, backend, k=k_by_target[t]), targets
     )
     senses = dict(zip(targets, induced))
 

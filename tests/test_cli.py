@@ -224,6 +224,67 @@ class TestWsiCommand:
         assert "instances file not found" in capsys.readouterr().err
 
 
+class TestZeroVectors:
+    """Zero vectors have no direction: dropped on load, listed in a warning."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        vectors = tmp_path / "zero.vec"
+        vectors.write_text("4 2\na 1 0\nb 0.9 0.1\nc 0 1\nz 0 0\n")
+        words = tmp_path / "words.txt"
+        words.write_text("a\n")
+        return {"vectors": str(vectors), "words": str(words), "dir": tmp_path}
+
+    def wsi(self, files, target, out):
+        instances = files["dir"] / f"{target}.jsonl"
+        instances.write_text(json.dumps({"target": target, "id": f"{target}.1", "tokens": ["b"]}) + "\n")
+        return main(
+            ["wsi", "--vectors", files["vectors"], "--instances", str(instances), "--n", "2", "--out", str(out)]
+        )
+
+    def test_tps_word_list_skips_zero_vector(self, files, capsys):
+        out = files["dir"] / "scores.csv"
+        rc = main(["tps", "--vectors", files["vectors"], "--words", files["words"], "--n", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "skipping 1 zero vectors: z" in captured.err
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["word", "a"]
+
+    def test_tps_all_scores_the_rest(self, files, capsys):
+        out = files["dir"] / "scores.csv"
+        rc = main(["tps", "--vectors", files["vectors"], "--all", "--n", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "wrote 3 scores" in captured.out
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["word", "a", "b", "c"]
+
+    def test_listing_is_capped(self, tmp_path, capsys):
+        vectors = tmp_path / "many.vec"
+        zeros = [f"z{i:02d} 0 0" for i in range(12)]
+        vectors.write_text("15 2\n" + "\n".join(["a 1 0", "b 0 1", "c 1 1", *zeros]) + "\n")
+        out = tmp_path / "scores.csv"
+        rc = main(["tps", "--vectors", str(vectors), "--all", "--n", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        shown = ", ".join(f"z{i:02d}" for i in range(10))
+        assert f"skipping 12 zero vectors: {shown} (+2 more)" in captured.err
+
+    def test_wsi_unaffected_target_runs(self, files, capsys):
+        out = files["dir"] / "a.key"
+        rc = self.wsi(files, "a", out)
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "skipping 1 zero vectors: z" in captured.err
+        assert load_key(out).rows[0][:2] == ("a", "a.1")
+
+    def test_wsi_zero_vector_target_aborts(self, files, capsys):
+        out = files["dir"] / "z.key"
+        rc = self.wsi(files, "z", out)
+        assert rc == 1
+        assert "1 targets not in vocabulary: ['z']" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestScoreCommand:
     def test_self_agreement(self, planted_files, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -13,8 +13,6 @@ from topolysemy import (
     dbscan,
     farthest_first_centers,
     kmeans,
-    lloyd_iterations,
-    save_clustering_csv,
 )
 
 
@@ -146,18 +144,23 @@ class TestKmeans:
 
     def test_objective_never_increases(self, rng):
         points = rng.standard_normal((50, 3))
-        centers = farthest_first_centers(points, 5, np.random.default_rng(0))
-        objectives = [obj for _, _, obj in lloyd_iterations(points, centers)]
+        objectives = [kmeans(points, 5, max_iter=t).objective for t in range(1, 20)]
         for before, after in zip(objectives, objectives[1:]):
             assert after <= before + 1e-9
 
     def test_empty_cluster_is_repaired(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
-        centers = np.array([[0.0, 0.0], [0.0, 0.0], [5.5, 0.0]])
-        final_labels = None
-        for labels, _, _ in lloyd_iterations(points, centers):
-            final_labels = labels
-        assert set(final_labels.tolist()) == {0, 1, 2}
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
+        for seed in range(8):
+            # Farthest-first can only repeat a center here, so one cluster
+            # starts empty.
+            centers = farthest_first_centers(points, 3, np.random.default_rng(seed))
+            assert len(np.unique(centers, axis=0)) < 3
+            result = kmeans(points, 3, seed=seed)
+            assert set(result.clustering.labels.tolist()) == {0, 1, 2}
+
+    def test_max_iter_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(rng.standard_normal((6, 2)), 2, max_iter=0)
 
     def test_converged_flag_and_iteration_count(self, rng):
         points = rng.standard_normal((20, 2))
@@ -219,16 +222,3 @@ class TestClusteringValidation:
         clustering = Clustering(labels=np.array([0, 0]), n_clusters=1)
         with pytest.raises(ValueError):
             clustering.labels[0] = 1
-
-
-def test_save_clustering_csv(tmp_path):
-    clustering = Clustering(labels=np.array([0, NOISE, 1]), n_clusters=2)
-    path = tmp_path / "c.csv"
-    save_clustering_csv(clustering, ["ant", "bee", "cat"], path)
-    assert path.read_text() == "word,cluster_id\nant,0\nbee,-1\ncat,1\n"
-
-
-def test_save_clustering_csv_length_mismatch(tmp_path):
-    clustering = Clustering(labels=np.array([0]), n_clusters=1)
-    with pytest.raises(ValueError, match="words but"):
-        save_clustering_csv(clustering, ["a", "b"], tmp_path / "c.csv")

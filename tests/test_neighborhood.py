@@ -1,17 +1,14 @@
 """Punctured neighborhoods: ranking, ties, projection, coincident handling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from topolysemy import (
-    EmbeddingSet,
-    NeighborhoodCloud,
-    l2_normalize_all,
-    normalize_cloud,
-    normalized_punctured_neighborhood,
-    punctured_neighborhood,
-    save_cloud_csv,
-)
+from topolysemy import EmbeddingSet, NeighborhoodCloud, l2_normalize_all, punctured_neighborhood
+from topolysemy.neighborhood import COINCIDENT_EPS
 
 
 def embedding(words, rows):
@@ -24,7 +21,7 @@ class TestPuncturedNeighborhood:
         cloud = punctured_neighborhood(emb, "w", 1)
         assert cloud.words == ("a",)
         assert cloud.center == "w"
-        assert not cloud.normalized
+        assert cloud.skipped == ()
 
     def test_full_vocabulary(self):
         emb = embedding(["w", "a", "b"], [[1, 0], [0.9, 0.436], [0, 1]])
@@ -76,55 +73,129 @@ class TestPuncturedNeighborhood:
 
 
 class TestNormalizeCloud:
+    """Sphere projection of the cloud: punctured_neighborhood(..., project=True)."""
+
     def test_projection(self):
-        cloud = NeighborhoodCloud(center="w", words=("v",), points=np.array([[3.0, 4.0]]))
-        out = normalize_cloud(cloud, np.zeros(2))
-        assert np.array_equal(out.points[0], [0.6, 0.8])
-        assert out.normalized
+        emb = embedding(["w", "v"], [[1, 0], [0, 1]])
+        out = punctured_neighborhood(emb, "w", 1, project=True)
+        np.testing.assert_allclose(out.points[0], np.array([-1.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
+        assert out.skipped == ()
 
     def test_antipodal_pair(self):
-        cloud = NeighborhoodCloud(
-            center="w", words=("up", "down"), points=np.array([[0.0, 1.0], [0.0, -1.0]])
-        )
-        out = normalize_cloud(cloud, np.zeros(2))
-        assert np.array_equal(out.points, [[0.0, 1.0], [0.0, -1.0]])
-        assert np.linalg.norm(out.points[0] - out.points[1]) == 2.0
+        # up and down mirror each other through the center's axis, and so do
+        # their projections.
+        emb = embedding(["w", "up", "down"], [[1, 0], [0, 1], [0, -1]])
+        out = punctured_neighborhood(emb, "w", 2, project=True)
+        assert out.words == ("up", "down")
+        assert np.array_equal(out.points[1], out.points[0] * [1.0, -1.0])
+        assert np.linalg.norm(out.points[0] - out.points[1]) == pytest.approx(np.sqrt(2.0))
 
     def test_unit_norms(self, rng):
-        points = rng.standard_normal((20, 5))
-        center = rng.standard_normal(5)
-        cloud = NeighborhoodCloud(
-            center="w", words=tuple(f"v{i}" for i in range(20)), points=points
+        emb = l2_normalize_all(
+            EmbeddingSet(words=tuple(f"v{i}" for i in range(21)), vectors=rng.standard_normal((21, 5)))
         )
-        out = normalize_cloud(cloud, center)
+        out = punctured_neighborhood(emb, "v0", 20, project=True)
+        assert len(out) == 20
         assert np.abs(np.linalg.norm(out.points, axis=1) - 1.0).max() < 1e-9
 
     def test_coincident_dropped_and_replaced(self):
-        center = np.array([1.0, 0.0])
-        cloud = NeighborhoodCloud(
-            center="w", words=("dup", "near"), points=np.array([[1.0, 0.0], [0.9, 0.1]])
-        )
-        out = normalize_cloud(cloud, center, reserve=[("far", np.array([0.0, 1.0]))])
+        emb = embedding(["w", "dup", "near", "far"], [[1, 0], [1, 0], [0.9, 0.1], [0, 1]])
+        out = punctured_neighborhood(emb, "w", 2, project=True)
         assert out.skipped == ("dup",)
         assert out.words == ("near", "far")
         assert len(out) == 2
-        assert not out.truncated
 
     def test_coincident_without_reserve_shrinks(self):
-        center = np.array([1.0, 0.0])
-        cloud = NeighborhoodCloud(
-            center="w", words=("dup", "near"), points=np.array([[1.0, 0.0], [0.9, 0.1]])
-        )
-        out = normalize_cloud(cloud, center)
+        # No candidate is left to replace the coincident one.
+        emb = embedding(["w", "dup", "near"], [[1, 0], [1, 0], [0.9, 0.1]])
+        out = punctured_neighborhood(emb, "w", 2, project=True)
+        assert out.skipped == ("dup",)
         assert out.words == ("near",)
-        assert out.truncated
+        assert out.points.shape == (1, 2)
 
     def test_end_to_end_replacement(self):
         emb = embedding(["w", "dup", "far"], [[1, 0], [1, 0], [0, 1]])
-        out = normalized_punctured_neighborhood(emb, "w", 1)
+        out = punctured_neighborhood(emb, "w", 1, project=True)
         assert out.skipped == ("dup",)
         assert out.words == ("far",)
         assert len(out) == 1
+
+
+# Unit vectors in R^4 with dyadic coordinates: every dot product, offset and
+# squared distance between them is exact, so a plain-Python reference sees
+# exactly the ties and coincidences the program sees.
+AXES = [tuple(sign * (i == axis) for i in range(4)) for axis in range(4) for sign in (1.0, -1.0)]
+HALVES = [
+    tuple(0.5 * (-1.0 if bits >> i & 1 else 1.0) for i in range(4)) for bits in range(16)
+]
+UNIT = AXES + HALVES
+
+
+def reference_neighborhood(rows, center, n, project):
+    """Sort by (-cosine, row), drop the center, skip coincident rows, keep n."""
+    unit = [[x / math.sqrt(sum(y * y for y in row)) for x in row] for row in rows]
+    w = unit[center]
+    cosine = [sum(a * b for a, b in zip(v, w)) for v in unit]
+    kept, points, skipped = [], [], []
+    for r in sorted(range(len(rows)), key=lambda r: (-cosine[r], r)):
+        if r == center:
+            continue
+        if len(kept) == n:
+            break
+        if not project:
+            kept.append(r)
+            continue
+        offset = [a - b for a, b in zip(unit[r], w)]
+        distance = math.sqrt(sum(x * x for x in offset))
+        if distance < COINCIDENT_EPS:
+            skipped.append(r)
+            continue
+        kept.append(r)
+        points.append([x / distance for x in offset])
+    return kept, points, skipped
+
+
+@st.composite
+def planted_vocabularies(draw):
+    """(rows, center, n): exact ties, scaled duplicates, copies of the center."""
+    picks = draw(st.lists(st.integers(0, len(UNIT) - 1), min_size=2, max_size=12))
+    center = draw(st.integers(0, len(picks) - 1))
+    plant = draw(st.sampled_from(["none", "some", "all"]))
+    if plant == "all":
+        picks = [picks[center]] * len(picks)
+    elif plant == "some":
+        copies = draw(st.sets(st.integers(0, len(picks) - 1)))
+        picks = [picks[center] if i in copies else p for i, p in enumerate(picks)]
+    scales = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(picks), max_size=len(picks)))
+    rows = [[scale * x for x in UNIT[p]] for p, scale in zip(picks, scales)]
+    n = draw(st.integers(1, len(picks) - 1))
+    return rows, center, n
+
+
+@given(planted_vocabularies())
+def test_matches_plain_python_reference(case):
+    rows, center, n = case
+    emb = embedding([f"w{i}" for i in range(len(rows))], rows)
+
+    kept, _, _ = reference_neighborhood(rows, center, n, project=False)
+    raw = punctured_neighborhood(emb, f"w{center}", n)
+    assert raw.words == tuple(f"w{r}" for r in kept)
+    assert raw.skipped == ()
+
+    kept, points, skipped = reference_neighborhood(rows, center, n, project=True)
+    out = punctured_neighborhood(emb, f"w{center}", n, project=True)
+    assert out.words == tuple(f"w{r}" for r in kept)
+    assert out.skipped == tuple(f"w{r}" for r in skipped)
+    assert out.points.shape == (len(kept), 4)
+    np.testing.assert_allclose(out.points, np.array(points).reshape(-1, 4), rtol=0, atol=1e-12)
+
+
+def test_all_coincident_vocabulary_gives_an_empty_cloud():
+    emb = embedding(["w", "a", "b"], [[1, 0], [2, 0], [0.5, 0]])
+    out = punctured_neighborhood(emb, "w", 2, project=True)
+    assert out.words == ()
+    assert out.skipped == ("a", "b")
+    assert out.points.shape == (0, 2)
 
 
 class TestCloudValidation:
@@ -135,15 +206,3 @@ class TestCloudValidation:
     def test_word_point_mismatch(self):
         with pytest.raises(ValueError):
             NeighborhoodCloud(center="w", words=("a",), points=np.zeros((2, 1)))
-
-
-def test_save_cloud_csv(tmp_path):
-    cloud = NeighborhoodCloud(
-        center="w", words=("a", "b"), points=np.array([[1.0, 2.0], [3.0, 4.0]])
-    )
-    path = tmp_path / "cloud.csv"
-    save_cloud_csv(cloud, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x0,x1"
-    assert lines[1] == "1,2"
-    assert len(lines) == 3

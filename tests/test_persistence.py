@@ -8,7 +8,6 @@ from conftest import random_cloud, random_diagram_bars
 from topolysemy import (
     PersistenceDiagram,
     degree0_diagram,
-    save_diagram_csv,
     wasserstein_distance,
     wasserstein_norm,
 )
@@ -157,9 +156,3 @@ class TestWassersteinDistance:
             bc = wasserstein_distance(b, c)
             ac = wasserstein_distance(a, c)
             assert ac <= ab + bc + 1e-9
-
-
-def test_save_diagram_csv(tmp_path):
-    path = tmp_path / "d.csv"
-    save_diagram_csv(diagram([[0.0, 1.5]]), path)
-    assert path.read_text() == "birth,death\n0,1.5\n"
