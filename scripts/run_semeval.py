@@ -4,9 +4,10 @@ Inputs: a .vec embedding file, instances as JSONL (target, id, tokens), a
 gold key ("target instance_id label" lines), and optionally a gold
 sense-count TSV and a corpus-frequency TSV for the correlation checks.
 
-Steps: score every target (n=50 neighborhood), induce senses and label all
-instances, evaluate against the gold key, and correlate scores with gold
-sense counts and with corpus frequency.  All outputs land in --outdir.
+Steps: drop zero vectors with a warning (as the CLI does), score every
+target (n=50 neighborhood), induce senses and label all instances, evaluate
+against the gold key, and correlate scores with gold sense counts and with
+corpus frequency.  All outputs land in --outdir.
 
 Usage:
     python scripts/run_semeval.py --vectors vectors.vec --instances test.jsonl \
@@ -17,6 +18,7 @@ Usage:
 
 import argparse
 import os
+import sys
 
 from topolysemy import (
     DbscanConfig,
@@ -26,7 +28,7 @@ from topolysemy import (
     load_count_table,
     load_instances,
     load_key,
-    load_vec_file,
+    load_unit_vectors,
     pearson_with_p,
     resolve_target,
     run_opn,
@@ -56,7 +58,11 @@ def main() -> int:
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    embeddings = load_vec_file(args.vectors)
+    embeddings, dropped = load_unit_vectors(args.vectors)
+    if dropped:
+        shown = ", ".join(dropped[:10])
+        extra = f" (+{len(dropped) - 10} more)" if len(dropped) > 10 else ""
+        print(f"warning: skipping {len(dropped)} zero vectors: {shown}{extra}", file=sys.stderr)
     instances = load_instances(args.instances)
     gold = load_key(args.gold_key)
     print(f"{len(embeddings)} vectors, {len(instances)} instances, {len(gold)} gold rows")

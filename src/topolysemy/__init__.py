@@ -5,79 +5,37 @@ project it to the unit sphere, compute its degree-0 persistence diagram,
 and report the diagram's Wasserstein norm as the word's polysemy score.
 Sense induction clusters the raw neighborhood instead and assigns instances
 by relative vocabulary overlap.
+
+The package exports what the README and the scripts use; every other name
+lives in its module (``topolysemy.tps.TpsReport``, ...).
 """
 
 from ._util import ParseError
-from .clustering import (
-    NOISE,
-    Clustering,
-    KmeansResult,
-    dbscan,
-    farthest_first_centers,
-    kmeans,
-)
+from .clustering import dbscan, kmeans
 from .embeddings import (
-    CountTable,
     EmbeddingSet,
     count_corpus,
-    count_frequencies,
-    l2_normalize_all,
     load_count_table,
+    load_unit_vectors,
     load_vec_file,
     save_count_table,
-    save_vec_file,
-    tokenize,
 )
-from .metrics import (
-    PairedFScore,
-    PearsonResult,
-    ScoreReport,
-    ScoreRow,
-    VMeasureScore,
-    pair_counts,
-    paired_fscore,
-    pearson_with_p,
-    save_score_report,
-    score_keys,
-    v_measure,
-)
-from .neighborhood import NeighborhoodCloud, punctured_neighborhood
-from .persistence import (
-    PersistenceDiagram,
-    degree0_diagram,
-    wasserstein_distance,
-    wasserstein_norm,
-)
-from .synthetic import (
-    PlantedDataset,
-    pinched_neighborhood_embedding,
-    planted_two_sense_dataset,
-    random_embedding,
-)
-from .tps import (
-    PercentileTable,
-    TpsReport,
-    load_tps_csv,
-    predicted_k,
-    save_tps_csv,
-    tps_batch,
-    tps_score,
-)
+from .metrics import paired_fscore, pearson_with_p, save_score_report, score_keys, v_measure
+from .neighborhood import punctured_neighborhood
+from .persistence import degree0_diagram, wasserstein_distance, wasserstein_norm
+from .synthetic import pinched_neighborhood_embedding, planted_two_sense_dataset
+from .tps import PercentileTable, save_tps_csv, tps_batch, tps_score
 from .wsi import (
     DbscanConfig,
     Instance,
     KmeansConfig,
     OpnConfig,
-    OpnResult,
-    SenseClusters,
-    SenseKey,
     assign_instance,
     induce_senses,
     load_instances,
     load_key,
     resolve_target,
     run_opn,
-    target_lemma,
     write_key,
 )
 
@@ -85,47 +43,26 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParseError",
-    "NOISE",
-    "Clustering",
-    "KmeansResult",
     "dbscan",
-    "farthest_first_centers",
     "kmeans",
-    "CountTable",
     "EmbeddingSet",
     "count_corpus",
-    "count_frequencies",
-    "l2_normalize_all",
     "load_count_table",
+    "load_unit_vectors",
     "load_vec_file",
     "save_count_table",
-    "save_vec_file",
-    "tokenize",
-    "PairedFScore",
-    "PearsonResult",
-    "ScoreReport",
-    "ScoreRow",
-    "VMeasureScore",
-    "pair_counts",
     "paired_fscore",
     "pearson_with_p",
     "save_score_report",
     "score_keys",
     "v_measure",
-    "NeighborhoodCloud",
     "punctured_neighborhood",
-    "PersistenceDiagram",
     "degree0_diagram",
     "wasserstein_distance",
     "wasserstein_norm",
-    "PlantedDataset",
     "pinched_neighborhood_embedding",
     "planted_two_sense_dataset",
-    "random_embedding",
     "PercentileTable",
-    "TpsReport",
-    "load_tps_csv",
-    "predicted_k",
     "save_tps_csv",
     "tps_batch",
     "tps_score",
@@ -133,16 +70,12 @@ __all__ = [
     "Instance",
     "KmeansConfig",
     "OpnConfig",
-    "OpnResult",
-    "SenseClusters",
-    "SenseKey",
     "assign_instance",
     "induce_senses",
     "load_instances",
     "load_key",
     "resolve_target",
     "run_opn",
-    "target_lemma",
     "write_key",
     "__version__",
 ]

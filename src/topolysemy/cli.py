@@ -19,10 +19,8 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from ._util import ParseError, atomic_write_text
-from .embeddings import EmbeddingSet, load_count_table, load_vec_file
+from .embeddings import EmbeddingSet, load_count_table, load_unit_vectors
 from .metrics import pearson_with_p, save_score_report, score_keys
 from .tps import load_tps_csv, save_tps_csv, tps_batch
 from .wsi import (
@@ -127,27 +125,22 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _listing(items: Sequence[str]) -> str:
+    shown = ", ".join(items[:_LIST_CAP])
+    extra = f" (+{len(items) - _LIST_CAP} more)" if len(items) > _LIST_CAP else ""
+    return shown + extra
+
+
 def _warn_skipping(kind: str, words: Sequence[str]) -> None:
-    shown = ", ".join(words[:_LIST_CAP])
-    extra = f" (+{len(words) - _LIST_CAP} more)" if len(words) > _LIST_CAP else ""
-    _warn(f"skipping {len(words)} {kind}: {shown}{extra}")
+    _warn(f"skipping {len(words)} {kind}: {_listing(words)}")
 
 
 def _load_vectors(path: str) -> EmbeddingSet:
-    """Load a .vec file without its zero vectors, which have no direction.
-
-    Dropped words are listed in a warning; to the commands they are then
-    out of vocabulary.
-    """
-    embeddings = load_vec_file(path)
-    zero = np.linalg.norm(embeddings.vectors, axis=1) == 0.0
-    if not zero.any():
-        return embeddings
-    _warn_skipping("zero vectors", [embeddings.words[i] for i in np.flatnonzero(zero)])
-    keep = np.flatnonzero(~zero)
-    return EmbeddingSet(
-        words=tuple(embeddings.words[i] for i in keep), vectors=embeddings.vectors[keep]
-    )
+    """Unit vectors of a .vec file; dropped zero vectors are listed in a warning."""
+    embeddings, dropped = load_unit_vectors(path)
+    if dropped:
+        _warn_skipping("zero vectors", dropped)
+    return embeddings
 
 
 def cmd_tps(args: argparse.Namespace) -> int:
@@ -167,6 +160,18 @@ def cmd_tps(args: argparse.Namespace) -> int:
     if not in_vocab:
         raise ValueError("no in-vocabulary words to score")
     reports = tps_batch(embeddings, in_vocab, n=args.n)
+    # A projected cloud falls short of n points only when the ranking ran
+    # out, so its size is every other word less the skipped coincident ones.
+    short = [
+        f"{r.word} (cloud of {len(embeddings) - 1 - len(r.skipped)})"
+        for r in reports
+        if r.bars_used < args.n - 1
+    ]
+    if short:
+        _warn(
+            f"{len(short)} words have fewer than n={args.n} non-coincident neighbors "
+            f"and were scored on smaller clouds: {_listing(short)}"
+        )
     save_tps_csv(reports, args.out)
     print(f"wrote {len(reports)} scores (n={args.n}) to {args.out}")
     return 0

@@ -61,10 +61,6 @@ class Clustering:
         """Ascending point indices labeled `cluster_id` (NOISE allowed)."""
         return np.flatnonzero(self.labels == cluster_id)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int((self.labels == c).sum()) for c in range(self.n_clusters))
-
 
 def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
     """Boolean adjacency of point pairs with cosine distance <= eps.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class EmbeddingSet:
             return self._index[word]
         except KeyError:
             raise KeyError(f"word {word!r} not in vocabulary") from None
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self.row(word)]
 
 
 @dataclass(frozen=True)
@@ -180,6 +177,24 @@ def l2_normalize_all(embeddings: EmbeddingSet) -> EmbeddingSet:
     )
 
 
+def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
+    """Load a ".vec" file, drop its zero vectors and L2-normalize the rest.
+
+    Zero vectors have no direction, so they cannot be scored or clustered;
+    their words are returned in file order for the caller to report, and
+    are out of vocabulary in the returned set.
+    """
+    embeddings = load_vec_file(path)
+    zero = np.linalg.norm(embeddings.vectors, axis=1) == 0.0
+    dropped = [embeddings.words[i] for i in np.flatnonzero(zero)]
+    if dropped:
+        keep = np.flatnonzero(~zero)
+        embeddings = EmbeddingSet(
+            words=tuple(embeddings.words[i] for i in keep), vectors=embeddings.vectors[keep]
+        )
+    return l2_normalize_all(embeddings), dropped
+
+
 def tokenize(text: str) -> Iterator[str]:
     """Lowercase, split on whitespace, strip non-alphanumeric affixes.
 
@@ -193,11 +208,6 @@ def tokenize(text: str) -> Iterator[str]:
             end -= 1
         if end > start:
             yield raw[start:end]
-
-
-def count_frequencies(tokens: Iterable[str]) -> CountTable:
-    """Exact occurrence count per token; an empty stream gives an empty table."""
-    return CountTable(entries=dict(Counter(tokens)))
 
 
 def count_corpus(path) -> CountTable:

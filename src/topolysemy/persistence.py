@@ -21,18 +21,11 @@ from scipy.optimize import linear_sum_assignment
 
 @dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
-    """Multiset of (birth, death) bars, stored sorted by (birth, death).
-
-    Only degree-0 diagrams are produced here, but the homology degree is
-    carried so exported diagrams are self-describing.
-    """
+    """Multiset of (birth, death) bars, stored sorted by (birth, death)."""
 
     bars: np.ndarray
-    degree: int = 0
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
         bars = np.ascontiguousarray(self.bars, dtype=np.float64)
         if bars.size == 0:
             bars = bars.reshape(0, 2)
@@ -69,7 +62,8 @@ def degree0_diagram(points: np.ndarray) -> PersistenceDiagram:
     """Degree-0 diagram of a Euclidean point cloud; m points give m - 1 bars.
 
     The deaths are the single-linkage merge heights, i.e. the MST edge
-    weights, zero-weight edges between coincident points included.
+    weights, zero-weight edges between coincident points included.  Clouds
+    of zero or one point have no merges, so their diagram is empty.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -77,9 +71,7 @@ def degree0_diagram(points: np.ndarray) -> PersistenceDiagram:
     if points.size and not np.isfinite(points).all():
         raise ValueError("points contain non-finite components")
     m = points.shape[0]
-    if m == 0:
-        raise ValueError("degree0_diagram needs at least one point")
-    if m == 1:
+    if m < 2:
         return PersistenceDiagram(bars=np.empty((0, 2), dtype=np.float64))
 
     bars = np.zeros((m - 1, 2), dtype=np.float64)

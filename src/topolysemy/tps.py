@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ._util import ParseError, atomic_write_text, map_ordered
 from .embeddings import EmbeddingSet, l2_normalize_all
@@ -27,9 +27,11 @@ TPS_CSV_PRECISION = "%.6f"
 class TpsReport:
     """Score of one word.
 
-    ``bars_used`` is the diagram size, n - 1 unless coincident neighbors
-    shrank the cloud (the replaced ones are listed in ``skipped``); it is
-    None for reports read back from CSV, which does not carry it.
+    ``bars_used`` is the diagram size, n - 1 unless the vocabulary ran out
+    of non-coincident neighbors (the coincident ones are listed in
+    ``skipped``); a word whose neighbors all coincide with it scores 0 on
+    no bars.  It is None for reports read back from CSV, which does not
+    carry it.
     """
 
     word: str
@@ -99,18 +101,6 @@ class PercentileTable:
         object.__setattr__(self, "scores", dict(self.scores))
         object.__setattr__(self, "tps_min", min(values))
         object.__setattr__(self, "tps_max", max(values))
-
-    @classmethod
-    def from_reports(cls, reports: Sequence[TpsReport]) -> "PercentileTable":
-        table: dict[str, float] = {}
-        for report in reports:
-            if report.word in table:
-                raise ValueError(f"duplicate word {report.word!r} in reports")
-            table[report.word] = report.score
-        return cls(scores=table)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.scores
 
     def percentile(self, word: str) -> int:
         """Integer percentile rank of a tabled word's score, by ceiling.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ._util import ParseError, atomic_write_text, map_ordered
@@ -63,13 +63,6 @@ class SenseKey:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def targets(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for target, _, _ in self.rows:
-            seen.setdefault(target)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -160,15 +153,14 @@ def induce_senses(
     target: str,
     n: int,
     backend: DbscanConfig | KmeansConfig,
-    k: int | None = None,
 ) -> SenseClusters:
     """Cluster the target's neighborhood vectors into sense vocabularies.
 
     Requires L2-normalized embeddings.  With the density backend, noise
     words are excluded from every vocabulary, and an all-noise result falls
     back to a single sense holding the whole neighborhood.  With the
-    partition backend, k comes from the argument (percentile-derived
-    upstream) or the config, clamped to the neighborhood size.
+    partition backend, k is ``backend.k``, clamped to the neighborhood
+    size.
     """
     word = resolve_target(embeddings, target)
     if word is None:
@@ -186,15 +178,14 @@ def induce_senses(
         noise = tuple(cloud.words[i] for i in result.members(NOISE).tolist())
         return SenseClusters(target=target, word=word, clusters=clusters, noise=noise)
 
-    wanted = k if k is not None else backend.k
-    if wanted is None:
+    if backend.k is None:
         raise ValueError(f"target {target!r}: partition backend needs k (none derived)")
-    if wanted < 1:
-        raise ValueError(f"target {target!r}: k must be >= 1, got {wanted}")
-    effective = min(wanted, len(cloud))
-    if effective < wanted:
+    if backend.k < 1:
+        raise ValueError(f"target {target!r}: k must be >= 1, got {backend.k}")
+    effective = min(backend.k, len(cloud))
+    if effective < backend.k:
         logger.warning(
-            "target %r: k=%d exceeds neighborhood size %d, clamped", target, wanted, len(cloud)
+            "target %r: k=%d exceeds neighborhood size %d, clamped", target, backend.k, len(cloud)
         )
     result = kmeans(cloud.points, k=effective, seed=backend.seed)
     clusters = tuple(
@@ -248,9 +239,10 @@ def run_opn(
 
     Aborts with a listing if any target is absent from the vocabulary
     under both its raw form and its lemma.  With the partition backend and
-    k=None, per-target k is derived from each target's score percentile
-    within the evaluated population.  Sense labels read
-    "<target>.sense_<index>"; output is independent of instance order.
+    k=None, each target gets a copy of the backend whose k is derived from
+    the target's score percentile within the evaluated population.  Sense
+    labels read "<target>.sense_<index>"; output is independent of instance
+    order.
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
@@ -261,17 +253,15 @@ def run_opn(
     if missing:
         raise KeyError(f"{len(missing)} targets not in vocabulary: {missing}")
 
-    k_by_target: dict[str, int | None] = {t: None for t in targets}
     backend = config.backend
+    backends: dict[str, DbscanConfig | KmeansConfig] = {t: backend for t in targets}
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
         reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
         table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
         for t in targets:
-            k_by_target[t] = predicted_k(table.percentile(t))
+            backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
 
-    induced = map_ordered(
-        lambda t: induce_senses(embeddings, t, config.n, backend, k=k_by_target[t]), targets
-    )
+    induced = map_ordered(lambda t: induce_senses(embeddings, t, config.n, backends[t]), targets)
     senses = dict(zip(targets, induced))
 
     by_target: dict[str, list[Instance]] = {t: [] for t in targets}

@@ -23,7 +23,6 @@ from oracles import (
 from topolysemy import (
     OpnConfig,
     PercentileTable,
-    PersistenceDiagram,
     degree0_diagram,
     load_count_table,
     load_vec_file,
@@ -31,8 +30,6 @@ from topolysemy import (
     pearson_with_p,
     pinched_neighborhood_embedding,
     planted_two_sense_dataset,
-    predicted_k,
-    random_embedding,
     resolve_target,
     run_opn,
     score_keys,
@@ -42,6 +39,9 @@ from topolysemy import (
     wasserstein_distance,
     wasserstein_norm,
 )
+from topolysemy.persistence import PersistenceDiagram
+from topolysemy.synthetic import random_embedding
+from topolysemy.tps import predicted_k
 
 EMPTY = PersistenceDiagram(bars=np.empty((0, 2)))
 

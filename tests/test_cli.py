@@ -4,17 +4,11 @@ import json
 
 import pytest
 
-from topolysemy import (
-    SenseKey,
-    TpsReport,
-    load_key,
-    planted_two_sense_dataset,
-    random_embedding,
-    save_tps_csv,
-    save_vec_file,
-    score_keys,
-    write_key,
-)
+from topolysemy import load_key, planted_two_sense_dataset, save_tps_csv, score_keys, write_key
+from topolysemy.embeddings import save_vec_file
+from topolysemy.synthetic import random_embedding
+from topolysemy.tps import TpsReport
+from topolysemy.wsi import SenseKey
 from topolysemy.cli import main
 
 
@@ -283,6 +277,34 @@ class TestZeroVectors:
         assert rc == 1
         assert "1 targets not in vocabulary: ['z']" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestShortClouds:
+    """Coincident neighbors are skipped, so a cloud can fall short of n."""
+
+    def run_tps(self, tmp_path, rows, n):
+        vectors = tmp_path / "short.vec"
+        vectors.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "scores.csv"
+        rc = main(["tps", "--vectors", str(vectors), "--all", "--n", str(n), "--out", str(out)])
+        return rc, out
+
+    def test_all_coincident_words_score_zero(self, tmp_path, capsys):
+        rc, out = self.run_tps(tmp_path, ["a 1 0", "b 2 0", "c 3 0"], n=2)
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "3 words have fewer than n=2" in captured.err
+        assert "a (cloud of 0), b (cloud of 0), c (cloud of 0)" in captured.err
+        assert out.read_text().splitlines()[1:] == ["a,2,0.000000", "b,2,0.000000", "c,2,0.000000"]
+
+    def test_warning_lists_only_the_short_clouds(self, tmp_path, capsys):
+        rc, out = self.run_tps(tmp_path, ["a 1 0", "b 2 0", "c 3 0", "d 0 1"], n=3)
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        (warning,) = [line for line in captured.err.splitlines() if "fewer than n=3" in line]
+        assert "a (cloud of 1)" in warning
+        assert "d (" not in warning
+        assert out.read_text().splitlines()[1] == "a,3,0.000000"
 
 
 class TestScoreCommand:

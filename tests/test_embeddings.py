@@ -6,18 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topolysemy import (
-    CountTable,
     EmbeddingSet,
     ParseError,
     count_corpus,
-    count_frequencies,
-    l2_normalize_all,
     load_count_table,
+    load_unit_vectors,
     load_vec_file,
     save_count_table,
-    save_vec_file,
-    tokenize,
 )
+from topolysemy.embeddings import CountTable, l2_normalize_all, save_vec_file, tokenize
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -100,7 +97,7 @@ class TestEmbeddingSet:
         emb = EmbeddingSet(words=("a", "b"), vectors=np.eye(2))
         assert "a" in emb and "c" not in emb
         assert emb.row("b") == 1
-        assert np.array_equal(emb.vector("b"), [0.0, 1.0])
+        assert np.array_equal(emb.vectors[emb.row("b")], [0.0, 1.0])
         with pytest.raises(KeyError):
             emb.row("c")
 
@@ -163,6 +160,16 @@ class TestL2NormalizeAll:
         assert np.abs(twice.vectors - once.vectors).max() < 1e-12
 
 
+def test_load_unit_vectors_drops_zero_rows_in_file_order(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_text("4 2\nz 0 0\na 3 4\ny 0 0\nb 0 2\n")
+    emb, dropped = load_unit_vectors(path)
+    assert dropped == ["z", "y"]
+    assert emb.words == ("a", "b")
+    assert emb.normalized
+    assert np.array_equal(emb.vectors, [[0.6, 0.8], [0.0, 1.0]])
+
+
 class TestTokenize:
     def test_punctuation_stripped(self):
         assert list(tokenize("Dog, dog!")) == ["dog", "dog"]
@@ -178,21 +185,6 @@ class TestTokenize:
 
 
 class TestCountFrequencies:
-    def test_basic(self):
-        table = count_frequencies(["the", "cat", "the"])
-        assert table.entries == {"the": 2, "cat": 1}
-
-    def test_empty(self):
-        assert count_frequencies([]).entries == {}
-
-    @given(st.lists(st.sampled_from("abc"), max_size=30), st.lists(st.sampled_from("abc"), max_size=30))
-    def test_concatenation_adds(self, left, right):
-        combined = count_frequencies(left + right).entries
-        a = count_frequencies(left).entries
-        b = count_frequencies(right).entries
-        for word in set(a) | set(b):
-            assert combined[word] == a.get(word, 0) + b.get(word, 0)
-
     def test_count_corpus(self, tmp_path):
         path = write(tmp_path / "c.txt", "The cat.\nthe DOG!\n")
         assert count_corpus(path).entries == {"the": 2, "cat": 1, "dog": 1}

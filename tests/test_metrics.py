@@ -6,15 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from oracles import entropy_v_measure, fscore_by_pair_enumeration, pearson_by_hand
-from topolysemy import (
-    SenseKey,
-    paired_fscore,
-    pair_counts,
-    pearson_with_p,
-    save_score_report,
-    score_keys,
-    v_measure,
-)
+from topolysemy import paired_fscore, pearson_with_p, save_score_report, score_keys, v_measure
+from topolysemy.metrics import pair_counts
+from topolysemy.wsi import SenseKey
 
 labelings = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=20)
 

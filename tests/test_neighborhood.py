@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topolysemy import EmbeddingSet, NeighborhoodCloud, l2_normalize_all, punctured_neighborhood
-from topolysemy.neighborhood import COINCIDENT_EPS
+from topolysemy import EmbeddingSet, punctured_neighborhood
+from topolysemy.embeddings import l2_normalize_all
+from topolysemy.neighborhood import COINCIDENT_EPS, NeighborhoodCloud
 
 
 def embedding(words, rows):

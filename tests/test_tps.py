@@ -5,17 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import (
-    EmbeddingSet,
-    ParseError,
-    PercentileTable,
-    TpsReport,
-    load_tps_csv,
-    predicted_k,
-    save_tps_csv,
-    tps_batch,
-    tps_score,
-)
+from topolysemy import EmbeddingSet, ParseError, PercentileTable, save_tps_csv, tps_batch, tps_score
+from topolysemy.tps import TpsReport, load_tps_csv, predicted_k
 
 
 def caps_embedding(axes, per_cap, rng, dim=6, spread=0.05, offset=0.2):
@@ -139,17 +130,6 @@ class TestPercentileTable:
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="zero scores"):
             PercentileTable(scores={})
-
-    def test_from_reports(self):
-        reports = [TpsReport(word="a", n=5, score=1.0), TpsReport(word="b", n=5, score=2.0)]
-        table = PercentileTable.from_reports(reports)
-        assert table.tps_min == 1.0 and table.tps_max == 2.0
-        assert "a" in table
-
-    def test_from_reports_duplicate_word(self):
-        reports = [TpsReport(word="a", n=5, score=1.0), TpsReport(word="a", n=5, score=2.0)]
-        with pytest.raises(ValueError, match="duplicate"):
-            PercentileTable.from_reports(reports)
 
 
 class TestPredictedK:

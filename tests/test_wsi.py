@@ -13,19 +13,17 @@ from topolysemy import (
     KmeansConfig,
     OpnConfig,
     ParseError,
-    SenseClusters,
-    SenseKey,
     assign_instance,
     induce_senses,
-    l2_normalize_all,
     load_instances,
     load_key,
     planted_two_sense_dataset,
     resolve_target,
     run_opn,
-    target_lemma,
     write_key,
 )
+from topolysemy.embeddings import l2_normalize_all
+from topolysemy.wsi import SenseClusters, SenseKey, target_lemma
 
 
 def make_senses(clusters, target="t.n", word="t"):
@@ -121,6 +119,8 @@ class TestInduceSenses:
         emb = axis_embedding(["w", "a", "b"])
         with pytest.raises(ValueError, match="needs k"):
             induce_senses(emb, "w", 2, KmeansConfig(k=None))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            induce_senses(emb, "w", 2, KmeansConfig(k=0))
 
     def test_unknown_target_names_the_lemma(self):
         emb = axis_embedding(["w", "a", "b"])
@@ -204,10 +204,6 @@ class TestSenseContainers:
         rows = (("t", "i1", "a"), ("t", "i1", "b"))
         with pytest.raises(ValueError, match="duplicate"):
             SenseKey(rows=rows)
-
-    def test_sense_key_targets_in_first_seen_order(self):
-        key = SenseKey(rows=(("b", "1", "x"), ("a", "1", "y"), ("b", "2", "z")))
-        assert key.targets == ("b", "a")
 
     def test_sense_clusters_must_be_disjoint(self):
         with pytest.raises(ValueError, match="overlapping"):
