@@ -24,6 +24,7 @@ from topolysemy import (
     DbscanConfig,
     KmeansConfig,
     OpnConfig,
+    ParseError,
     PercentileTable,
     load_count_table,
     load_instances,
@@ -56,7 +57,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tps-n", type=int, default=50, help="scoring neighborhood size")
     args = parser.parse_args()
+    try:
+        return evaluate(args)
+    except (ParseError, ValueError, KeyError, OSError) as err:
+        # The same one-line report as the topolysemy CLI.
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
+        return 1
 
+
+def evaluate(args: argparse.Namespace) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     embeddings, dropped = load_unit_vectors(args.vectors)
     if dropped:

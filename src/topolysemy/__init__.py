@@ -21,7 +21,7 @@ from .embeddings import (
     save_count_table,
 )
 from .metrics import paired_fscore, pearson_with_p, save_score_report, score_keys, v_measure
-from .neighborhood import punctured_neighborhood
+from .neighborhood import punctured_neighborhood, punctured_neighborhoods
 from .persistence import degree0_diagram, wasserstein_distance, wasserstein_norm
 from .synthetic import pinched_neighborhood_embedding, planted_two_sense_dataset
 from .tps import PercentileTable, save_tps_csv, tps_batch, tps_score
@@ -57,6 +57,7 @@ __all__ = [
     "score_keys",
     "v_measure",
     "punctured_neighborhood",
+    "punctured_neighborhoods",
     "degree0_diagram",
     "wasserstein_distance",
     "wasserstein_norm",

@@ -1,4 +1,4 @@
-"""Shared plumbing: parse errors, atomic file writes, worker pool sizing."""
+"""Shared plumbing: parse errors, atomic file writes, worker pool and chunk sizing."""
 
 from __future__ import annotations
 
@@ -11,6 +11,10 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 THREADS_ENV = "TPS_THREADS"
+
+# Element budget of one row chunk of a similarity product: 4M float64
+# values, 32 MB, whatever the number of rows.
+CHUNK_ELEMENTS = 4_000_000
 
 
 class ParseError(ValueError):
@@ -29,6 +33,11 @@ def worker_count() -> int:
     if value < 1:
         raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
     return value
+
+
+def chunk_rows(columns: int) -> int:
+    """Rows per chunk of a product with `columns` columns, within CHUNK_ELEMENTS."""
+    return max(1, CHUNK_ELEMENTS // max(1, columns))
 
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int | None = None) -> list[R]:

@@ -76,6 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     wsi.add_argument("--min-pts", type=_positive_int, default=2, help="dbscan core threshold (default 2)")
     wsi.add_argument("--k", type=_k_value, default=None, help="kmeans cluster count, or 'auto'")
     wsi.add_argument("--seed", type=int, default=0, help="kmeans seed (default 0)")
+    wsi.add_argument(
+        "--tps-n", type=_positive_int, default=50,
+        help="neighborhood size of the scores behind --k auto (default 50)",
+    )
     wsi.add_argument("--out", required=True, help="output key path")
 
     score = sub.add_parser("score", help="evaluate a key against a gold key")
@@ -185,7 +189,7 @@ def cmd_wsi(args: argparse.Namespace) -> int:
     if args.backend == "dbscan":
         backend: DbscanConfig | KmeansConfig = DbscanConfig(eps=args.eps, min_pts=args.min_pts)
     else:
-        backend = KmeansConfig(k=args.k, seed=args.seed)
+        backend = KmeansConfig(k=args.k, seed=args.seed, tps_n=args.tps_n)
     result = run_opn(embeddings, instances, OpnConfig(n=args.n, backend=backend))
     write_key(result.key, args.out)
     print(

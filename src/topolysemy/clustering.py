@@ -15,10 +15,11 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ._util import chunk_rows
+
 NOISE = -1
 
 _UNIT_TOL = 1e-6
-_CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +70,14 @@ def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
     row chunks so the full similarity matrix never materializes.
     """
     n = points.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n))
+    chunk = chunk_rows(n)
+    # One buffer for every chunk, so the chunks allocate no float arrays.
+    buffer = np.empty((min(chunk, n), n))
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        distances = points[start:stop] @ points.T
-        # In place, so each chunk allocates one chunk-sized array, not two.
+        distances = np.matmul(points[start:stop], points.T, out=buffer[: stop - start])
         np.subtract(1.0, distances, out=distances)
         local_rows, cols = np.nonzero(distances <= eps)
         row_parts.append(local_rows + start)

@@ -19,6 +19,10 @@ from ._util import ParseError, atomic_write_text
 
 VEC_PRECISION = "%.9g"
 
+# Row norms in this range come from squares that neither underflow nor
+# overflow.
+_SAFE_NORMS = (1e-150, 1e150)
+
 _COUNT_RE = re.compile(r"\d+")
 
 
@@ -164,9 +168,24 @@ def save_vec_file(embeddings: EmbeddingSet, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, also for rows whose squared components under- or overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    # Only such rows are rescaled by their largest component first; the
+    # norms of all others are np.linalg.norm's, bit for bit.
+    outside = np.flatnonzero((norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1]))
+    if outside.size:
+        rows = vectors[outside]
+        scale = np.abs(rows).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        norms[outside] = np.linalg.norm(rows / scale[:, None], axis=1) * scale
+    return norms
+
+
 def l2_normalize_all(embeddings: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit L2 norm; word order is unchanged."""
-    norms = np.linalg.norm(embeddings.vectors, axis=1)
+    norms = _row_norms(embeddings.vectors)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot normalize zero vector for word {embeddings.words[zero[0]]!r}")
@@ -185,14 +204,16 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     are out of vocabulary in the returned set.
     """
     embeddings = load_vec_file(path)
-    zero = np.linalg.norm(embeddings.vectors, axis=1) == 0.0
-    dropped = [embeddings.words[i] for i in np.flatnonzero(zero)]
+    words, vectors = embeddings.words, embeddings.vectors
+    # One norm pass serves the zero check and the division, as in
+    # l2_normalize_all.
+    norms = _row_norms(vectors)
+    zero = norms == 0.0
+    dropped = [words[i] for i in np.flatnonzero(zero)]
     if dropped:
         keep = np.flatnonzero(~zero)
-        embeddings = EmbeddingSet(
-            words=tuple(embeddings.words[i] for i in keep), vectors=embeddings.vectors[keep]
-        )
-    return l2_normalize_all(embeddings), dropped
+        words, vectors, norms = tuple(words[i] for i in keep), vectors[keep], norms[keep]
+    return EmbeddingSet(words=words, vectors=vectors / norms[:, None], normalized=True), dropped
 
 
 def tokenize(text: str) -> Iterator[str]:

@@ -4,19 +4,30 @@ A neighborhood cloud holds the n vocabulary vectors closest to a center word
 by cosine similarity, never including the center itself.  The projected
 cloud recenters each neighbor at the center vector and scales it to the unit
 sphere, which is the input the persistence stage consumes.
+
+Search runs on blocks of center words: one matrix product gives a block's
+similarities to the whole vocabulary, a partition picks each word's
+candidates, and an exact per-row similarity ranks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._util import chunk_rows
 from .embeddings import EmbeddingSet
 
 # Neighbors closer to the center than this are treated as coincident and
 # cannot be projected to the sphere.
 COINCIDENT_EPS = 1e-12
+
+# Candidates keep every row whose block-product similarity lies within this
+# of the cut.  A matrix product and an exact per-row dot product of unit
+# vectors differ by about 1e-15, so no row of the exact top ranks is lost.
+_CANDIDATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,14 +60,17 @@ class NeighborhoodCloud:
         return len(self.words)
 
 
-def punctured_neighborhood(
-    embeddings: EmbeddingSet, word: str, n: int, project: bool = False
-) -> NeighborhoodCloud:
-    """The n nearest neighbors of `word` by cosine similarity, excluding it.
+def punctured_neighborhoods(
+    embeddings: EmbeddingSet, words: Sequence[str], n: int, project: bool = False
+) -> list[NeighborhoodCloud]:
+    """The n nearest neighbors of each word by cosine similarity, excluding it.
 
     Requires unit-norm embeddings so the dot product is the cosine, and
-    n at most the vocabulary size minus one.  Equal similarities keep
-    ascending vocabulary order (stable sort on the negated scores).
+    n at most the vocabulary size minus one.  Neighbors rank by an exact
+    dot product computed row by row, so the result does not depend on
+    which words share a block; equal similarities keep ascending
+    vocabulary order.  Blocks of chunk_rows(len(embeddings)) words share
+    one product with the vocabulary, about 32 MB whatever their number.
 
     With ``project``, each neighbor v becomes (v - w) / ||v - w|| for the
     center vector w.  Neighbors within COINCIDENT_EPS of w cannot be
@@ -64,41 +78,81 @@ def punctured_neighborhood(
     candidates take their place, so the cloud has fewer than n points only
     when the vocabulary runs out.
     """
+    return list(iter_punctured_neighborhoods(embeddings, words, n, project))
+
+
+def iter_punctured_neighborhoods(
+    embeddings: EmbeddingSet, words: Sequence[str], n: int, project: bool = False
+) -> Iterator[NeighborhoodCloud]:
+    """punctured_neighborhoods one cloud at a time; arguments are checked as iteration starts.
+
+    A caller that is done with each cloud before the next holds one
+    block's similarities and one cloud, not all of a block's clouds.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > len(embeddings) - 1:
         raise ValueError(f"n={n} exceeds the {len(embeddings) - 1} available neighbors")
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
-    center_row = embeddings.row(word)
+    rows = [embeddings.row(word) for word in words]
     vectors = embeddings.vectors
-    center = vectors[center_row]
-    order = np.argsort(-(vectors @ center), kind="stable")
-    ranked = order[order != center_row]
-    if not project:
-        chosen = ranked[:n]
-        return NeighborhoodCloud(
-            center=word,
-            words=tuple(embeddings.words[i] for i in chosen),
-            points=vectors[chosen],
-        )
+    block = chunk_rows(len(embeddings))
+    for start in range(0, len(rows), block):
+        block_rows = rows[start : start + block]
+        similarities = vectors[block_rows] @ vectors.T
+        for row, row_similarities in zip(block_rows, similarities):
+            yield _cloud(embeddings, row, row_similarities, n, project)
 
-    kept_words: list[str] = []
-    kept_points: list[np.ndarray] = []
-    skipped: list[str] = []
-    for row in ranked:
-        offset = vectors[row] - center
-        distance = float(np.linalg.norm(offset))
-        if distance < COINCIDENT_EPS:
-            skipped.append(embeddings.words[row])
-            continue
-        kept_words.append(embeddings.words[row])
-        kept_points.append(offset / distance)
-        if len(kept_words) == n:
+
+def punctured_neighborhood(
+    embeddings: EmbeddingSet, word: str, n: int, project: bool = False
+) -> NeighborhoodCloud:
+    """One word's punctured_neighborhoods cloud."""
+    return punctured_neighborhoods(embeddings, [word], n, project)[0]
+
+
+def _ranked(vectors: np.ndarray, similarities: np.ndarray, center_row: int, k: int) -> np.ndarray:
+    """The k - 1 nearest rows to the center but itself, nearest first.
+
+    At least k rows reach the k-th largest block similarity, so the exact
+    (k - 1)-th nearest other row lies within rounding of it, and so does
+    every row tied with or nearer than that one: all are candidates.  The
+    exact similarity depends only on the row and the center.
+    """
+    cut = similarities.shape[0] - k
+    threshold = np.partition(similarities, cut)[cut]
+    candidates = np.flatnonzero(similarities >= threshold - _CANDIDATE_MARGIN)
+    candidates = candidates[candidates != center_row]
+    exact = np.multiply(vectors[candidates], vectors[center_row]).sum(axis=1)
+    return candidates[np.argsort(-exact, kind="stable")[: k - 1]]
+
+
+def _cloud(
+    embeddings: EmbeddingSet, center_row: int, similarities: np.ndarray, n: int, project: bool
+) -> NeighborhoodCloud:
+    vectors = embeddings.vectors
+    word = embeddings.words[center_row]
+    k = n + 1
+    while True:
+        ranked = _ranked(vectors, similarities, center_row, k)
+        if not project:
+            return NeighborhoodCloud(
+                center=word,
+                words=tuple(embeddings.words[i] for i in ranked),
+                points=vectors[ranked],
+            )
+        offsets = vectors[ranked] - vectors[center_row]
+        distances = np.linalg.norm(offsets, axis=1)
+        kept = distances >= COINCIDENT_EPS
+        if kept.sum() == n or k == len(vectors):
             break
+        # Coincident rows used up the candidates: widen past them.  Each
+        # ranking extends the last one, so the kept rows never exceed n.
+        k = min(len(vectors), n + 1 + int((~kept).sum()))
     return NeighborhoodCloud(
         center=word,
-        words=tuple(kept_words),
-        points=np.array(kept_points) if kept_points else np.empty((0, embeddings.dim)),
-        skipped=tuple(skipped),
+        words=tuple(embeddings.words[i] for i in ranked[kept]),
+        points=offsets[kept] / distances[kept, None],
+        skipped=tuple(embeddings.words[i] for i in ranked[~kept]),
     )

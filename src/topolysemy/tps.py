@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_text, map_ordered
+from ._util import ParseError, atomic_write_text, chunk_rows, map_ordered, worker_count
 from .embeddings import EmbeddingSet, l2_normalize_all
-from .neighborhood import punctured_neighborhood
+from .neighborhood import NeighborhoodCloud, iter_punctured_neighborhoods, punctured_neighborhood
 from .persistence import degree0_diagram, wasserstein_norm
 
 TPS_CSV_PRECISION = "%.6f"
@@ -54,10 +54,13 @@ def tps_score(embeddings: EmbeddingSet, word: str, n: int) -> TpsReport:
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
-    cloud = punctured_neighborhood(embeddings, word, n, project=True)
+    return _report(punctured_neighborhood(embeddings, word, n, project=True), n)
+
+
+def _report(cloud: NeighborhoodCloud, n: int) -> TpsReport:
     diagram = degree0_diagram(cloud.points)
     return TpsReport(
-        word=word,
+        word=cloud.center,
         n=n,
         score=wasserstein_norm(diagram),
         bars_used=len(diagram),
@@ -73,7 +76,9 @@ def tps_batch(
 ) -> list[TpsReport]:
     """Score many words, normalizing the embeddings once.
 
-    Output order matches input order regardless of worker count.
+    Words are searched in blocks of at most chunk_rows(len(embeddings)),
+    small enough that every worker gets a block.  Output order matches
+    input order, and scores do not depend on block or worker count.
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
@@ -81,7 +86,16 @@ def tps_batch(
         if word not in embeddings:
             raise KeyError(f"word {word!r} not in vocabulary")
     normalized = embeddings
-    return map_ordered(lambda w: tps_score(normalized, w, n), list(words), workers=workers)
+    if workers is None:
+        workers = worker_count()
+    size = max(1, min(chunk_rows(len(normalized)), math.ceil(len(words) / max(1, workers))))
+    blocks = [list(words[start : start + size]) for start in range(0, len(words), size)]
+
+    def score_block(block: list[str]) -> list[TpsReport]:
+        clouds = iter_punctured_neighborhoods(normalized, block, n, project=True)
+        return [_report(cloud, n) for cloud in clouds]
+
+    return [report for block in map_ordered(score_block, blocks, workers=workers) for report in block]
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,12 @@ def run_opn(
     backend = config.backend
     backends: dict[str, DbscanConfig | KmeansConfig] = {t: backend for t in targets}
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
-        reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
+        try:
+            reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
+        except ValueError as err:
+            raise ValueError(
+                f"percentile-k scoring of the targets (tps_n={backend.tps_n}): {err}"
+            ) from None
         table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
         for t in targets:
             backends[t] = replace(backend, k=predicted_k(table.percentile(t)))

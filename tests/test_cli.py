@@ -113,6 +113,16 @@ class TestTpsCommand:
             )
         assert exc.value.code == 2
 
+    def test_csv_bytes_do_not_depend_on_thread_count(self, planted_files, tmp_path, monkeypatch):
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TPS_THREADS", threads)
+            out = tmp_path / f"scores{threads}.csv"
+            argv = ["tps", "--vectors", str(planted_files["vectors"]), "--all", "--n", "10"]
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_vectors_file(self, tmp_path, capsys):
         rc = main(
             ["tps", "--vectors", str(tmp_path / "nope.vec"), "--all", "--out", str(tmp_path / "x.csv")]
@@ -189,6 +199,30 @@ class TestWsiCommand:
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_kmeans_auto_k_scoring_error_names_the_step(self, planted_files, tmp_path, capsys):
+        out = tmp_path / "system.key"
+        rc = self.run_wsi(planted_files, out, extra=("--backend", "kmeans", "--k", "auto"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: percentile-k scoring of the targets (tps_n=50): n=50 exceeds" in err
+        assert not out.exists()
+
+    def test_kmeans_auto_k_with_tps_n_on_a_small_vocabulary(self, planted_files, tmp_path, capsys):
+        # A second target makes the percentile table non-degenerate.
+        instances = tmp_path / "two.jsonl"
+        instances.write_text(
+            planted_files["instances"].read_text()
+            + '{"target": "b0w0.n", "id": "b0w0.1", "tokens": ["b0w1"]}\n'
+        )
+        out = tmp_path / "system.key"
+        rc = self.run_wsi(
+            {**planted_files, "instances": instances},
+            out,
+            extra=("--backend", "kmeans", "--k", "auto", "--tps-n", "10"),
+        )
+        assert rc == 0
+        assert "over 2 targets" in capsys.readouterr().out
 
     def test_oov_target_aborts(self, planted_files, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

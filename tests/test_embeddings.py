@@ -160,6 +160,20 @@ class TestL2NormalizeAll:
         assert np.abs(twice.vectors - once.vectors).max() < 1e-12
 
 
+def test_tiny_and_huge_rows_normalize_to_unit():
+    # Squaring 1.5e-161 underflows and squaring 3e200 overflows.
+    emb = EmbeddingSet(
+        words=("tiny", "huge", "plain"),
+        vectors=np.array([[0.0, 0.0, 1.5e-161], [3e200, -4e200, 0.0], [3.0, 4.0, 0.0]]),
+    )
+    np.testing.assert_allclose(
+        l2_normalize_all(emb).vectors,
+        [[0.0, 0.0, 1.0], [0.6, -0.8, 0.0], [0.6, 0.8, 0.0]],
+        rtol=1e-15,
+        atol=0,
+    )
+
+
 def test_load_unit_vectors_drops_zero_rows_in_file_order(tmp_path):
     path = tmp_path / "v.vec"
     path.write_text("4 2\nz 0 0\na 3 4\ny 0 0\nb 0 2\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topolysemy import EmbeddingSet, punctured_neighborhood
+from topolysemy import EmbeddingSet, _util, punctured_neighborhood, punctured_neighborhoods
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.neighborhood import COINCIDENT_EPS, NeighborhoodCloud
 
@@ -189,6 +189,56 @@ def test_matches_plain_python_reference(case):
     assert out.skipped == tuple(f"w{r}" for r in skipped)
     assert out.points.shape == (len(kept), 4)
     np.testing.assert_allclose(out.points, np.array(points).reshape(-1, 4), rtol=0, atol=1e-12)
+
+
+@st.composite
+def batched_searches(draw):
+    """(rows, queries, n, project, block): every word queried, in any order."""
+    rows, _, n = draw(planted_vocabularies())
+    if draw(st.booleans()):
+        n = len(rows) - 1
+    queries = draw(st.permutations(range(len(rows))))
+    block = draw(st.sampled_from([1, 3, len(rows)]))
+    return rows, queries, n, draw(st.booleans()), block
+
+
+@given(batched_searches())
+def test_batched_search_matches_plain_python_reference(case):
+    rows, queries, n, project, block = case
+    words = [f"w{i}" for i in range(len(rows))]
+    emb = embedding(words, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
+        clouds = punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project)
+    assert [cloud.center for cloud in clouds] == [words[q] for q in queries]
+    for center, cloud in zip(queries, clouds):
+        kept, points, skipped = reference_neighborhood(rows, center, n, project)
+        assert cloud.words == tuple(words[r] for r in kept)
+        assert cloud.skipped == tuple(words[r] for r in skipped)
+        if project:
+            np.testing.assert_allclose(
+                cloud.points, np.array(points).reshape(-1, 4), rtol=0, atol=1e-12
+            )
+        else:
+            assert np.array_equal(cloud.points, emb.vectors[kept].reshape(-1, 4))
+
+
+def test_coincident_copies_past_n_widen_the_search():
+    # Five copies of w (some scaled) rank ahead of every other word, so the
+    # first n + 1 candidates hold no projectable neighbor.
+    emb = embedding(
+        ["far", "w", "c1", "c2", "c3", "c4", "c5", "near"],
+        [[0, 1], [1, 0], [1, 0], [2, 0], [0.5, 0], [1, 0], [4, 0], [1, 1]],
+    )
+    out = punctured_neighborhood(emb, "w", 2, project=True)
+    assert out.skipped == ("c1", "c2", "c3", "c4", "c5")
+    assert out.words == ("near", "far")
+    assert punctured_neighborhood(emb, "w", 2).words == ("c1", "c2")
+
+
+def test_empty_query_list():
+    emb = embedding(["w", "a"], [[1, 0], [0, 1]])
+    assert punctured_neighborhoods(emb, [], 1) == []
 
 
 def test_all_coincident_vocabulary_gives_an_empty_cloud():

@@ -14,11 +14,11 @@ from topolysemy.embeddings import save_vec_file
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
-def run_script(name, monkeypatch, *args):
+def run_script(name, monkeypatch, *args, code=0):
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(os.path.join(SCRIPTS, name), run_name="__main__")
-    assert exit_info.value.code == 0
+    assert exit_info.value.code == code
 
 
 def test_synthetic_demo(monkeypatch, capsys):
@@ -36,12 +36,8 @@ def test_count_corpus(tmp_path, monkeypatch):
     assert out.read_text() == "dog\t2\nthe\t2\n"
 
 
-def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
-    data = planted_two_sense_dataset()
-    embeddings = EmbeddingSet(
-        words=(*data.embeddings.words, "blank"),
-        vectors=np.vstack([data.embeddings.vectors, np.zeros(data.embeddings.dim)]),
-    )
+def semeval_inputs(tmp_path, embeddings, data):
+    """--vectors, --instances and --gold-key arguments for run_semeval.py."""
     vectors = tmp_path / "planted.vec"
     save_vec_file(embeddings, vectors)
     instances = tmp_path / "instances.jsonl"
@@ -53,12 +49,19 @@ def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
     )
     gold = tmp_path / "gold.key"
     write_key(data.gold, gold)
+    return ["--vectors", str(vectors), "--instances", str(instances), "--gold-key", str(gold)]
+
+
+def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    embeddings = EmbeddingSet(
+        words=(*data.embeddings.words, "blank"),
+        vectors=np.vstack([data.embeddings.vectors, np.zeros(data.embeddings.dim)]),
+    )
     outdir = tmp_path / "eval"
     run_script(
         "run_semeval.py", monkeypatch,
-        "--vectors", str(vectors),
-        "--instances", str(instances),
-        "--gold-key", str(gold),
+        *semeval_inputs(tmp_path, embeddings, data),
         "--outdir", str(outdir),
         "--n", "48",
         "--tps-n", "10",
@@ -67,3 +70,16 @@ def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
     assert "warning: skipping 1 zero vectors: blank" in captured.err
     assert "pooled: V=1.0000 F=1.0000" in captured.out
     assert sorted(os.listdir(outdir)) == ["scores.csv", "system.key", "tps.csv"]
+
+
+def test_run_semeval_reports_input_errors_in_one_line(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, data.embeddings, data),
+        "--outdir", str(tmp_path / "eval"),
+        "--n", "48",
+        code=1,
+    )
+    err = capsys.readouterr().err
+    assert err == "error: n=50 exceeds the 48 available neighbors\n"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import EmbeddingSet, ParseError, PercentileTable, save_tps_csv, tps_batch, tps_score
+from topolysemy import EmbeddingSet, ParseError, PercentileTable, _util, save_tps_csv, tps_batch, tps_score
+from topolysemy.embeddings import l2_normalize_all
 from topolysemy.tps import TpsReport, load_tps_csv, predicted_k
 
 
@@ -100,6 +101,19 @@ class TestTpsBatch:
     def test_missing_word_rejected(self, small_embedding):
         with pytest.raises(KeyError):
             tps_batch(small_embedding, ["w0", "ghost"], n=5)
+
+    @pytest.mark.parametrize("block", [1, 3, 40])
+    def test_blocks_and_workers_do_not_change_reports(self, rng, monkeypatch, block):
+        vectors = rng.standard_normal((40, 5))
+        vectors[7] = vectors[3]
+        vectors[11] = 2.0 * vectors[3]
+        vectors[20] = vectors[21]
+        emb = l2_normalize_all(EmbeddingSet(words=tuple(f"w{i}" for i in range(40)), vectors=vectors))
+        words = [f"w{i}" for i in (39, 3, 0, 21, 7, 11, 20, 5, 16, 30)]
+        singles = [tps_score(emb, w, 6) for w in words]
+        monkeypatch.setattr(_util, "CHUNK_ELEMENTS", block * len(emb))
+        assert tps_batch(emb, words, n=6, workers=1) == singles
+        assert tps_batch(emb, words, n=6, workers=2) == singles
 
 
 class TestPercentileTable:
