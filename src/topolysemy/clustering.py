@@ -145,13 +145,9 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     return Clustering(labels=labels, n_clusters=len(remap))
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """All point-to-center squared Euclidean distances, clamped at zero."""
-    sq = (
-        (points * points).sum(axis=1)[:, None]
-        + (centers * centers).sum(axis=1)[None, :]
-        - 2.0 * (points @ centers.T)
-    )
+def _squared_distances(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of points (squared norms point_sq) to centers, clamped at zero."""
+    sq = point_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (points @ centers.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -164,12 +160,13 @@ def farthest_first_centers(points: np.ndarray, k: int, rng: np.random.Generator)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    point_sq = (points * points).sum(axis=1)
     chosen = [int(rng.integers(n))]
-    min_sq = _squared_distances(points, points[chosen[-1:]])[:, 0]
+    min_sq = _squared_distances(points, point_sq, points[chosen[-1:]])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
-        np.minimum(min_sq, _squared_distances(points, points[nxt : nxt + 1])[:, 0], out=min_sq)
+        np.minimum(min_sq, _squared_distances(points, point_sq, points[nxt : nxt + 1])[:, 0], out=min_sq)
     return points[np.array(chosen)].copy()
 
 
@@ -198,10 +195,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     centers = farthest_first_centers(points, k, rng)
+    point_sq = (points * points).sum(axis=1)
     # No step labels a point NOISE, so the first step is never a fixpoint.
     labels = np.full(points.shape[0], NOISE, dtype=np.int64)
     for n_iter in range(1, max_iter + 1):
-        sq = _squared_distances(points, centers)
+        sq = _squared_distances(points, point_sq, centers)
         step = sq.argmin(axis=1)
         counts = np.bincount(step, minlength=k)
         if (counts == 0).any():

@@ -15,9 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ._util import ParseError, atomic_write_text
-
-VEC_PRECISION = "%.9g"
+from ._util import ParseError, atomic_write_text, chunk_rows
 
 # Row norms in this range come from squares that neither underflow nor
 # overflow.
@@ -128,7 +126,6 @@ def load_vec_file(path) -> EmbeddingSet:
         words: list[str] = []
         seen: dict[str, int] = {}
         rows = np.empty((declared, dim), dtype=np.float64)
-        filled = 0
         for lineno, line in enumerate(handle, start=2):
             fields = line.split()
             if not fields:
@@ -142,36 +139,35 @@ def load_vec_file(path) -> EmbeddingSet:
                 raise ParseError(
                     f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
                 )
+            if len(words) == declared:
+                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+            row = rows[len(words)]
             try:
-                vector = [float(value) for value in values]
+                # numpy casts each str with float()'s grammar.
+                row[:] = values
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None
-            if not all(np.isfinite(vector)):
+            if not np.isfinite(row).all():
                 raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
-            if filled >= declared:
-                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
-            rows[filled] = vector
             seen[word] = lineno
             words.append(word)
-            filled += 1
-        if filled != declared:
-            raise ParseError(f"{path}: header declares {declared} rows, found {filled}")
+        if len(words) != declared:
+            raise ParseError(f"{path}: header declares {declared} rows, found {len(words)}")
     return EmbeddingSet(words=tuple(words), vectors=rows)
-
-
-def save_vec_file(embeddings: EmbeddingSet, path) -> None:
-    """Write the ".vec" text format at 9 significant digits."""
-    lines = [f"{len(embeddings)} {embeddings.dim}"]
-    for word, row in zip(embeddings.words, embeddings.vectors):
-        rendered = " ".join(VEC_PRECISION % value for value in row)
-        lines.append(f"{word} {rendered}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
     """L2 norm of each row, also for rows whose squared components under- or overflow."""
+    n, d = vectors.shape
+    step = chunk_rows(d)
+    norms = np.empty(n)
+    # np.linalg.norm's sqrt(add.reduce(x * x)), with the squares in one buffer
+    # reused across row chunks; rows are independent, so chunking keeps the bits.
+    squares = np.empty((min(step, n), d))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
+        for start in range(0, n, step):
+            part = np.square(vectors[start : start + step], out=squares[: min(step, n - start)])
+            np.sqrt(np.add.reduce(part, axis=1), out=norms[start : start + step])
     # Only such rows are rescaled by their largest component first; the
     # norms of all others are np.linalg.norm's, bit for bit.
     outside = np.flatnonzero((norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1]))
@@ -205,6 +201,8 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     """
     embeddings = load_vec_file(path)
     words, vectors = embeddings.words, embeddings.vectors
+    # The parsed set never leaves this function and owns its array: normalize in place.
+    vectors.setflags(write=True)
     # One norm pass serves the zero check and the division, as in
     # l2_normalize_all.
     norms = _row_norms(vectors)
@@ -213,7 +211,8 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     if dropped:
         keep = np.flatnonzero(~zero)
         words, vectors, norms = tuple(words[i] for i in keep), vectors[keep], norms[keep]
-    return EmbeddingSet(words=words, vectors=vectors / norms[:, None], normalized=True), dropped
+    vectors /= norms[:, None]
+    return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
 
 
 def tokenize(text: str) -> Iterator[str]:

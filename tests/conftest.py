@@ -1,6 +1,8 @@
-"""Shared test utilities: deterministic random fixtures and a CI profile."""
+"""Shared test utilities: deterministic random fixtures, a .vec writer and a CI profile."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+VEC_PRECISION = "%.9g"
+
+
+def save_vec_file(embeddings: EmbeddingSet, path) -> None:
+    """Write the ".vec" text format at 9 significant digits."""
+    lines = [f"{len(embeddings)} {embeddings.dim}"]
+    for word, row in zip(embeddings.words, embeddings.vectors):
+        rendered = " ".join(VEC_PRECISION % value for value in row)
+        lines.append(f"{word} {rendered}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def random_cloud(rng: np.random.Generator, m: int, d: int, scale: float = 2.0) -> np.ndarray:

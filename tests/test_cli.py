@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from conftest import save_vec_file
 from topolysemy import load_key, planted_two_sense_dataset, save_tps_csv, score_keys, write_key
-from topolysemy.embeddings import save_vec_file
 from topolysemy.synthetic import random_embedding
 from topolysemy.tps import TpsReport
 from topolysemy.wsi import SenseKey

@@ -1,10 +1,13 @@
 """Vector file parsing, normalization, tokenization, and count tables."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import save_vec_file
 from topolysemy import (
     EmbeddingSet,
     ParseError,
@@ -14,7 +17,8 @@ from topolysemy import (
     load_vec_file,
     save_count_table,
 )
-from topolysemy.embeddings import CountTable, l2_normalize_all, save_vec_file, tokenize
+from topolysemy import _util, embeddings
+from topolysemy.embeddings import CountTable, l2_normalize_all, tokenize
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -70,9 +74,114 @@ class TestLoadVecFile:
             load_vec_file(path)
 
     def test_too_many_rows(self, tmp_path):
-        path = write(tmp_path / "v.vec", "1 1\na 1\nb 2\n")
-        with pytest.raises(ParseError, match="more rows"):
+        # The row count is checked before the surplus line's numbers.
+        for surplus in ("b 2", "b apple"):
+            path = write(tmp_path / "v.vec", f"1 1\na 1\n{surplus}\n")
+            with pytest.raises(ParseError, match=r":3: more rows than the declared 1"):
+                load_vec_file(path)
+
+
+def reference_load_vec(path):
+    """float() per token; arity, duplicate and row-count checks before the numbers."""
+    with open(path, encoding="utf-8") as handle:
+        declared, dim = (int(part) for part in handle.readline().split())
+        words, seen, rows = [], {}, []
+        for lineno, line in enumerate(handle, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            word, values = fields[0], fields[1:]
+            if len(values) != dim:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(values)}"
+                )
+            if word in seen:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
+                )
+            if len(rows) >= declared:
+                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+            try:
+                vector = [float(value) for value in values]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None
+            if not all(math.isfinite(value) for value in vector):
+                raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
+            seen[word] = lineno
+            words.append(word)
+            rows.append(vector)
+        if len(rows) != declared:
+            raise ParseError(f"{path}: header declares {declared} rows, found {len(rows)}")
+    return tuple(words), np.array(rows, dtype=np.float64).reshape(declared, dim)
+
+
+# Digits, signs, exponents, underscores, non-ASCII digits (Arabic-Indic,
+# fullwidth) and characters float() rejects (superscript, vulgar fraction, x).
+NUMBER_JUNK = st.text(alphabet="0123456789+-.eE_\u0661\u0663\uff10\u00b2\u00bdx", min_size=1, max_size=6)
+NUMBER_WORDS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "Infinity", "1e308", "1e309", "-0", "1_000", "\u0663.\u0665", "0x1"]
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBER_JUNK, NUMBER_WORDS)
+
+
+@st.composite
+def vec_texts(draw):
+    """A '.vec' text with a well-formed header and rows that may break every rule."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(
+        st.sampled_from(["a", "b", "c", "d", "\u00df"]),
+        st.one_of(st.lists(TOKENS, min_size=dim, max_size=dim), st.lists(TOKENS, max_size=dim + 1)),
+        st.sampled_from(["", " ", " \t "]),
+    ).map(lambda parts: " ".join([parts[0], *parts[1]]) + parts[2])
+    lines = draw(st.lists(st.one_of(row, row, row, st.sampled_from(["", "  "])), max_size=6))
+    declared = draw(st.one_of(st.just(sum(1 for line in lines if line.strip())), st.integers(0, 5)))
+    return f"{declared} {dim}\n" + "".join(line + "\n" for line in lines)
+
+
+@given(vec_texts())
+def test_load_vec_file_matches_plain_python_reference(tmp_path_factory, text):
+    path = write(tmp_path_factory.mktemp("vec") / "v.vec", text)
+    try:
+        words, rows = reference_load_vec(path)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as raised:
             load_vec_file(path)
+        assert str(raised.value) == str(expected)
+        return
+    emb = load_vec_file(path)
+    assert emb.words == words
+    assert emb.vectors.tobytes() == rows.tobytes()
+
+
+def test_load_unit_vectors_normalizes_the_parsed_buffer(tmp_path, monkeypatch):
+    original, parsed = embeddings.load_vec_file, []
+
+    def capture(path):
+        parsed.append(original(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(embeddings, "load_vec_file", capture)
+    emb, dropped = load_unit_vectors(write(tmp_path / "v.vec", "2 2\na 3 4\nb 0 2\n"))
+    assert dropped == []
+    assert np.shares_memory(emb.vectors, parsed[0].vectors)
+    assert not emb.vectors.flags.writeable
+
+
+@pytest.mark.parametrize("block", [1, 3, 23])
+def test_load_unit_vectors_is_bit_identical_for_every_chunk_size(tmp_path, monkeypatch, block):
+    rng = np.random.default_rng(block)
+    rows = rng.standard_normal((21, 4)) * 10.0 ** rng.uniform(-3, 3, size=(21, 1))
+    rows = np.vstack([rows, [[0.0, 0.0, 1.5e-161, 0.0], [3e200, -4e200, 0.0, 1.0]]])
+    path = tmp_path / "v.vec"
+    save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(23)), vectors=rows), path)
+    # At the default budget the whole file is one chunk.
+    expected = l2_normalize_all(load_vec_file(path))
+    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", block * 4)
+    emb, dropped = load_unit_vectors(path)
+    assert dropped == []
+    assert emb.words == expected.words
+    assert emb.vectors.tobytes() == expected.vectors.tobytes()
 
 
 class TestEmbeddingSet:

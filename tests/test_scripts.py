@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import save_vec_file
 from topolysemy import EmbeddingSet, planted_two_sense_dataset, write_key
-from topolysemy.embeddings import save_vec_file
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
