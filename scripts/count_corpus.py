@@ -1,7 +1,7 @@
 """Count token frequencies of a plain-text corpus into a word<TAB>count TSV.
 
 The output feeds `topolysemy correlate --counts` as the frequency side of
-a score-vs-frequency check.
+a score-vs-frequency check.  Input errors are one "error: ..." line.
 
 Usage:
     python scripts/count_corpus.py --corpus corpus.txt --out counts.tsv
@@ -10,6 +10,7 @@ Usage:
 import argparse
 
 from topolysemy import count_corpus, save_count_table
+from topolysemy.cli import run
 
 
 def main() -> int:
@@ -19,8 +20,10 @@ def main() -> int:
     parser.add_argument(
         "--min-count", type=int, default=1, help="drop words rarer than this (default 1)"
     )
-    args = parser.parse_args()
+    return run(count, parser.parse_args())
 
+
+def count(args: argparse.Namespace) -> int:
     table = count_corpus(args.corpus)
     kept = {w: c for w, c in table.items() if c >= args.min_count}
     save_count_table(kept, args.out)

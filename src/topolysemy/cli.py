@@ -9,7 +9,7 @@ Four subcommands over the library pipeline:
 
 Every command validates its paths up front, writes outputs atomically, and
 exits 0 only when all requested outputs were written.  TPS_THREADS caps the
-worker pool.
+worker pool.  The scripts under scripts/ share wsi_options, opn_config and run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._util import ParseError, atomic_write_text
 from .embeddings import EmbeddingSet, load_count_table, load_unit_vectors
@@ -52,6 +52,24 @@ def _k_value(text: str) -> int | None:
     return _positive_int(text)
 
 
+def wsi_options() -> argparse.ArgumentParser:
+    """Parent parser of wsi's inputs and settings, shared with scripts/run_semeval.py."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--vectors", required=True, help=".vec embedding file")
+    options.add_argument("--instances", required=True, help="JSONL instances (target, id, tokens)")
+    options.add_argument("--backend", choices=("dbscan", "kmeans"), default="dbscan")
+    options.add_argument("--n", type=_positive_int, default=5000, help="neighborhood size (default 5000)")
+    options.add_argument("--eps", type=float, default=0.09, help="dbscan cosine radius (default 0.09)")
+    options.add_argument("--min-pts", type=_positive_int, default=2, help="dbscan core threshold (default 2)")
+    options.add_argument("--k", type=_k_value, default=None, help="kmeans cluster count, or 'auto'")
+    options.add_argument("--seed", type=int, default=0, help="kmeans seed (default 0)")
+    options.add_argument(
+        "--tps-n", type=_positive_int, default=50,
+        help="neighborhood size of the scores behind --k auto (default 50)",
+    )
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topolysemy",
@@ -67,19 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     tps.add_argument("--n", type=_positive_int, default=50, help="neighborhood size (default 50)")
     tps.add_argument("--out", required=True, help="output CSV path")
 
-    wsi = sub.add_parser("wsi", help="induce senses; write a key file")
-    wsi.add_argument("--vectors", required=True, help=".vec embedding file")
-    wsi.add_argument("--instances", required=True, help="JSONL instances (target, id, tokens)")
-    wsi.add_argument("--backend", choices=("dbscan", "kmeans"), default="dbscan")
-    wsi.add_argument("--n", type=_positive_int, default=5000, help="neighborhood size (default 5000)")
-    wsi.add_argument("--eps", type=float, default=0.09, help="dbscan cosine radius (default 0.09)")
-    wsi.add_argument("--min-pts", type=_positive_int, default=2, help="dbscan core threshold (default 2)")
-    wsi.add_argument("--k", type=_k_value, default=None, help="kmeans cluster count, or 'auto'")
-    wsi.add_argument("--seed", type=int, default=0, help="kmeans seed (default 0)")
-    wsi.add_argument(
-        "--tps-n", type=_positive_int, default=50,
-        help="neighborhood size of the scores behind --k auto (default 50)",
-    )
+    wsi = sub.add_parser("wsi", parents=[wsi_options()], help="induce senses; write a key file")
     wsi.add_argument("--out", required=True, help="output key path")
 
     score = sub.add_parser("score", help="evaluate a key against a gold key")
@@ -95,19 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_file(path: str | None, label: str) -> None:
-    if path is None:
-        return
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"{label} file not found: {path}")
-
-
-def _require_writable(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise FileNotFoundError(f"output directory does not exist: {parent}")
-
-
 _INPUT_FILES = (
     ("vectors", "vectors"),
     ("words", "words"),
@@ -116,13 +109,22 @@ _INPUT_FILES = (
     ("gold", "gold key"),
     ("tps_csv", "tps CSV"),
     ("counts", "counts"),
+    ("gold_key", "gold key"),
+    ("gold_counts", "gold counts"),
+    ("frequencies", "frequencies"),
+    ("corpus", "corpus"),
 )
 
 
 def _validate_paths(args: argparse.Namespace) -> None:
     for name, label in _INPUT_FILES:
-        _require_file(getattr(args, name, None), label)
-    _require_writable(args.out)
+        path = getattr(args, name, None)
+        if path is not None and not os.path.isfile(path):
+            raise FileNotFoundError(f"{label} file not found: {path}")
+    if hasattr(args, "out"):
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"output directory does not exist: {parent}")
 
 
 def _warn(message: str) -> None:
@@ -139,7 +141,7 @@ def _warn_skipping(kind: str, words: Sequence[str]) -> None:
     _warn(f"skipping {len(words)} {kind}: {_listing(words)}")
 
 
-def _load_vectors(path: str) -> EmbeddingSet:
+def load_vectors(path: str) -> EmbeddingSet:
     """Unit vectors of a .vec file; dropped zero vectors are listed in a warning."""
     embeddings, dropped = load_unit_vectors(path)
     if dropped:
@@ -148,7 +150,7 @@ def _load_vectors(path: str) -> EmbeddingSet:
 
 
 def cmd_tps(args: argparse.Namespace) -> int:
-    embeddings = _load_vectors(args.vectors)
+    embeddings = load_vectors(args.vectors)
     if args.all_words:
         requested = list(embeddings.words)
     else:
@@ -181,16 +183,21 @@ def cmd_tps(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_wsi(args: argparse.Namespace) -> int:
-    embeddings = _load_vectors(args.vectors)
-    instances = load_instances(args.instances)
-    if not instances:
-        raise ValueError(f"no instances in {args.instances}")
+def opn_config(args: argparse.Namespace) -> OpnConfig:
+    """The OpnConfig that wsi_options() values describe."""
     if args.backend == "dbscan":
         backend: DbscanConfig | KmeansConfig = DbscanConfig(eps=args.eps, min_pts=args.min_pts)
     else:
         backend = KmeansConfig(k=args.k, seed=args.seed, tps_n=args.tps_n)
-    result = run_opn(embeddings, instances, OpnConfig(n=args.n, backend=backend))
+    return OpnConfig(n=args.n, backend=backend)
+
+
+def cmd_wsi(args: argparse.Namespace) -> int:
+    embeddings = load_vectors(args.vectors)
+    instances = load_instances(args.instances)
+    if not instances:
+        raise ValueError(f"no instances in {args.instances}")
+    result = run_opn(embeddings, instances, opn_config(args))
     write_key(result.key, args.out)
     print(
         f"wrote {len(result.key)} assignments over {len(result.senses)} targets to {args.out}"
@@ -239,16 +246,20 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """Check the paths in args, then run command; an input error is one line and exit code 1."""
     try:
         _validate_paths(args)
-        return _COMMANDS[args.subcommand](args)
+        return command(args)
     except (ParseError, ValueError, KeyError, OSError) as err:
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(_COMMANDS[args.subcommand], args)
 
 
 if __name__ == "__main__":

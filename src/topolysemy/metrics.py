@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from ._util import atomic_write_text
 from .wsi import SenseKey
@@ -148,7 +148,7 @@ def pearson_with_p(x: Sequence[float], y: Sequence[float]) -> PearsonResult:
     r = max(-1.0, min(1.0, r))
     if 1.0 - r * r > 0.0:
         t = r * math.sqrt((m - 2) / (1.0 - r * r))
-        p = float(2.0 * stats.t.sf(abs(t), m - 2))
+        p = float(2.0 * stdtr(m - 2, -abs(t)))
     else:
         p = 0.0
     return PearsonResult(r=r, p_value=p, n=m)

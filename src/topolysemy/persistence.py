@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +119,9 @@ def wasserstein_distance(first: PersistenceDiagram, second: PersistenceDiagram) 
     cost[np.arange(m), n + np.arange(m)] = to_diag_a
     cost[m + np.arange(n), np.arange(n)] = to_diag_b
     cost[m:, n:] = 0.0
+
+    # Imported here: no CLI command calls this, and scipy.optimize is slow to load.
+    from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from ._util import ParseError, atomic_write_text, chunk_rows, map_ordered, worker_count
 from .embeddings import EmbeddingSet, l2_normalize_all
-from .neighborhood import NeighborhoodCloud, iter_punctured_neighborhoods, punctured_neighborhood
+from .neighborhood import NeighborhoodCloud, iter_punctured_neighborhoods
 from .persistence import degree0_diagram, wasserstein_norm
 
 TPS_CSV_PRECISION = "%.6f"
@@ -47,14 +47,12 @@ class TpsReport:
 
 
 def tps_score(embeddings: EmbeddingSet, word: str, n: int) -> TpsReport:
-    """Score one word over its n-neighbor projected cloud.
+    """Score one word over its n-neighbor projected cloud: tps_batch of one word.
 
     Normalizes the embeddings first unless they already are; callers
     scoring many words should normalize once and reuse (see tps_batch).
     """
-    if not embeddings.normalized:
-        embeddings = l2_normalize_all(embeddings)
-    return _report(punctured_neighborhood(embeddings, word, n, project=True), n)
+    return tps_batch(embeddings, [word], n, workers=1)[0]
 
 
 def _report(cloud: NeighborhoodCloud, n: int) -> TpsReport:

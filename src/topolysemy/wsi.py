@@ -148,6 +148,15 @@ def resolve_target(embeddings: EmbeddingSet, target: str) -> str | None:
     return None
 
 
+def resolve_targets(embeddings: EmbeddingSet, targets: Sequence[str]) -> dict[str, str]:
+    """Vocabulary entry of every target; aborts with a listing of the absent ones."""
+    resolved = {t: resolve_target(embeddings, t) for t in targets}
+    missing = [t for t in targets if resolved[t] is None]
+    if missing:
+        raise KeyError(f"{len(missing)} targets not in vocabulary: {missing}")
+    return resolved
+
+
 def induce_senses(
     embeddings: EmbeddingSet,
     target: str,
@@ -248,23 +257,20 @@ def run_opn(
         embeddings = l2_normalize_all(embeddings)
 
     targets = sorted({instance.target for instance in instances})
-    resolved = {t: resolve_target(embeddings, t) for t in targets}
-    missing = [t for t in targets if resolved[t] is None]
-    if missing:
-        raise KeyError(f"{len(missing)} targets not in vocabulary: {missing}")
+    resolved = resolve_targets(embeddings, targets)
 
     backend = config.backend
     backends: dict[str, DbscanConfig | KmeansConfig] = {t: backend for t in targets}
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
         try:
             reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
+            table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
+            for t in targets:
+                backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
         except ValueError as err:
             raise ValueError(
                 f"percentile-k scoring of the targets (tps_n={backend.tps_n}): {err}"
             ) from None
-        table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
-        for t in targets:
-            backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
 
     induced = map_ordered(lambda t: induce_senses(embeddings, t, config.n, backends[t]), targets)
     senses = dict(zip(targets, induced))

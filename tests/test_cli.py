@@ -1,10 +1,14 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import save_vec_file
+import topolysemy
 from topolysemy import load_key, planted_two_sense_dataset, save_tps_csv, score_keys, write_key
 from topolysemy.synthetic import random_embedding
 from topolysemy.tps import TpsReport
@@ -197,7 +201,9 @@ class TestWsiCommand:
             ]
         )
         assert rc == 1
-        assert "degenerate" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: percentile-k scoring of the targets (tps_n=50): degenerate percentile table: "
+        )
         assert not out.exists()
 
     def test_kmeans_auto_k_scoring_error_names_the_step(self, planted_files, tmp_path, capsys):
@@ -421,3 +427,14 @@ class TestCorrelateCommand:
         assert rc == 1
         assert "need >= 3 joined rows" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(topolysemy.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, topolysemy.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

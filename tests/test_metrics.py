@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 from oracles import entropy_v_measure, fscore_by_pair_enumeration, pearson_by_hand
 from topolysemy import paired_fscore, pearson_with_p, save_score_report, score_keys, v_measure
@@ -163,6 +164,13 @@ class TestPearson:
             # r; only its vanishing is meaningful.
             assert result.p_value < 1e-6 and float(reference.pvalue) < 1e-6
         assert -1.0 <= result.r <= 1.0
+
+    def test_p_value_tail_is_scipy_t_sf_exactly(self):
+        # pearson_with_p takes the Student-t tail from scipy.special.stdtr,
+        # so that the CLI need not import scipy.stats.
+        df = np.arange(1, 201, dtype=np.float64)[:, None]
+        x = np.concatenate([np.linspace(0.0, 60.0, 601), np.geomspace(1e-9, 1e6, 151)])[None, :]
+        np.testing.assert_array_equal(stdtr(df, -x), stats.t.sf(x, df))
 
     def test_affine_invariance(self, rng):
         xs = rng.standard_normal(20)

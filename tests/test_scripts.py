@@ -10,6 +10,7 @@ import pytest
 
 from conftest import save_vec_file
 from topolysemy import EmbeddingSet, planted_two_sense_dataset, write_key
+from topolysemy.cli import build_parser
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -34,6 +35,22 @@ def test_count_corpus(tmp_path, monkeypatch):
     out = tmp_path / "counts.tsv"
     run_script("count_corpus.py", monkeypatch, "--corpus", str(corpus), "--out", str(out), "--min-count", "2")
     assert out.read_text() == "dog\t2\nthe\t2\n"
+
+
+@pytest.mark.parametrize(
+    "corpus, out, message",
+    [
+        ("absent.txt", "counts.tsv", "corpus file not found: {tmp}/absent.txt"),
+        ("corpus.txt", "absent/counts.tsv", "output directory does not exist: {tmp}/absent"),
+    ],
+    ids=["missing-corpus", "missing-outdir"],
+)
+def test_count_corpus_reports_input_errors_in_one_line(tmp_path, monkeypatch, capsys, corpus, out, message):
+    (tmp_path / "corpus.txt").write_text("a dog\n")
+    run_script(
+        "count_corpus.py", monkeypatch, "--corpus", str(tmp_path / corpus), "--out", str(tmp_path / out), code=1
+    )
+    assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
 
 
 def semeval_inputs(tmp_path, embeddings, data):
@@ -83,3 +100,70 @@ def test_run_semeval_reports_input_errors_in_one_line(tmp_path, monkeypatch, cap
     )
     err = capsys.readouterr().err
     assert err == "error: n=50 exceeds the 48 available neighbors\n"
+
+
+@pytest.mark.parametrize("option", ["--k", "--n"])
+def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, capsys, option):
+    data = planted_two_sense_dataset()
+    outdir = tmp_path / "eval"
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, data.embeddings, data),
+        "--outdir", str(outdir),
+        "--backend", "kmeans",
+        option, "0",
+        code=2,
+    )
+    err = capsys.readouterr().err
+    assert err.endswith(f"run_semeval.py: error: argument {option}: expected a positive integer, got 0\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("option, label", [("--gold-counts", "gold counts"), ("--frequencies", "frequencies")])
+def test_run_semeval_checks_input_files_before_loading(tmp_path, monkeypatch, capsys, option, label):
+    data = planted_two_sense_dataset()
+    outdir = tmp_path / "eval"
+    missing = tmp_path / "missing.tsv"
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, data.embeddings, data),
+        "--outdir", str(outdir),
+        "--n", "48",
+        "--tps-n", "10",
+        option, str(missing),
+        code=1,
+    )
+    assert capsys.readouterr().err == f"error: {label} file not found: {missing}\n"
+    assert not outdir.exists()
+
+
+def test_run_semeval_reports_a_missing_target_in_one_line(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    rows = [i for i, word in enumerate(data.embeddings.words) if word != "pivot"]
+    embeddings = EmbeddingSet(
+        words=tuple(data.embeddings.words[i] for i in rows), vectors=data.embeddings.vectors[rows]
+    )
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, embeddings, data),
+        "--outdir", str(tmp_path / "eval"),
+        "--n", "47",
+        "--tps-n", "10",
+        code=1,
+    )
+    assert capsys.readouterr().err == "error: 1 targets not in vocabulary: ['pivot.n']\n"
+
+
+def test_run_semeval_takes_the_wsi_options_and_defaults():
+    # Every wsi option but --out parses to the same name and value, defaults included.
+    script_parser = runpy.run_path(os.path.join(SCRIPTS, "run_semeval.py"))["build_parser"]()
+    required = ["--vectors", "v.vec", "--instances", "i.jsonl"]
+    settings = [
+        "--backend", "kmeans", "--n", "7", "--eps", "0.5", "--min-pts", "3",
+        "--k", "4", "--seed", "9", "--tps-n", "11",
+    ]
+    for wsi_argv in ([], settings):
+        cli_args = vars(build_parser().parse_args(["wsi", *required, *wsi_argv, "--out", "o"]))
+        del cli_args["subcommand"], cli_args["out"]
+        script_args = vars(script_parser.parse_args([*required, *wsi_argv, "--gold-key", "g", "--outdir", "d"]))
+        assert {name: script_args.get(name, "absent") for name in cli_args} == cli_args
