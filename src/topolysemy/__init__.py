@@ -34,7 +34,6 @@ from .wsi import (
     induce_senses,
     load_instances,
     load_key,
-    resolve_target,
     run_opn,
     write_key,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "induce_senses",
     "load_instances",
     "load_key",
-    "resolve_target",
     "run_opn",
     "write_key",
     "__version__",

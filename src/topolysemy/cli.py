@@ -15,6 +15,8 @@ worker pool.  The scripts under scripts/ share wsi_options, opn_config and run.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 from typing import Callable, Sequence
@@ -210,8 +212,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     gold = load_key(args.gold)
     report = score_keys(system, gold)
     save_score_report(report, args.out)
-    for row in (report.pooled, report.weighted):
-        kind = "pooled" if row is report.pooled else "weighted"
+    for kind, row in (("pooled", report.pooled), ("weighted", report.weighted)):
         print(
             f"aggregate[{kind}] v_measure={row.v_measure:.6f} "
             f"f_score={row.f_score:.6f} product={row.product:.6f}"
@@ -230,9 +231,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"({len(reports)} scored words, {len(counts)} counted words)"
         )
     result = pearson_with_p([s for _, s, _ in joined], [c for _, _, c in joined])
-    lines = ["word,tps,count"]
-    lines += [f"{word},{score:.6f},{count}" for word, score, count in joined]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["word", "tps", "count"])
+    writer.writerows((word, f"{score:.6f}", count) for word, score, count in joined)
+    atomic_write_text(args.out, buffer.getvalue())
     print(f"r={result.r:.6f} p={result.p_value:.6g} n={result.n}")
     print(f"wrote {len(joined)} rows to {args.out}")
     return 0

@@ -75,33 +75,6 @@ class EmbeddingSet:
             raise KeyError(f"word {word!r} not in vocabulary") from None
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Map word -> nonnegative occurrence/synset/cluster count."""
-
-    entries: dict[str, int]
-
-    def __post_init__(self) -> None:
-        for word, count in self.entries.items():
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"count for {word!r} must be a nonnegative integer, got {count!r}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __getitem__(self, word: str) -> int:
-        return self.entries[word]
-
-    def get(self, word: str, default: int | None = None) -> int | None:
-        return self.entries.get(word, default)
-
-    def items(self):
-        return self.entries.items()
-
-
 def load_vec_file(path) -> EmbeddingSet:
     """Parse a ".vec" text file into an EmbeddingSet, preserving file order.
 
@@ -230,16 +203,16 @@ def tokenize(text: str) -> Iterator[str]:
             yield raw[start:end]
 
 
-def count_corpus(path) -> CountTable:
+def count_corpus(path) -> dict[str, int]:
     """Token frequencies of a plain-text corpus under `tokenize`."""
     counts: Counter[str] = Counter()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             counts.update(tokenize(line))
-    return CountTable(entries=dict(counts))
+    return dict(counts)
 
 
-def load_count_table(path) -> CountTable:
+def load_count_table(path) -> dict[str, int]:
     """Parse a "word<TAB>count" TSV; counts must be nonnegative integers."""
     entries: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
@@ -258,10 +231,10 @@ def load_count_table(path) -> CountTable:
             if word in entries:
                 raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
             entries[word] = int(raw_count)
-    return CountTable(entries=entries)
+    return entries
 
 
-def save_count_table(table: CountTable | Mapping[str, int], path) -> None:
-    entries = table.entries if isinstance(table, CountTable) else dict(table)
-    lines = [f"{word}\t{count}" for word, count in sorted(entries.items())]
+def save_count_table(table: Mapping[str, int], path) -> None:
+    """Write "word<TAB>count" lines in word order."""
+    lines = [f"{word}\t{count}" for word, count in sorted(table.items())]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -4,8 +4,8 @@ Two views of agreement between a system key and a gold key: the entropy
 based homogeneity/completeness/V-measure, and the paired F-score over
 instance pairs grouped together.  Reports carry one row per target plus
 two aggregates: "pooled" (computed once over all instances, with labels
-namespaced per target and pair counts summed) and "weighted" (per-target
-scores averaged with instance-count weights).
+namespaced per target, so pairs form only within a target) and "weighted"
+(per-target scores averaged with instance-count weights).
 """
 
 from __future__ import annotations
@@ -98,7 +98,13 @@ def pair_counts(
     return common, in_predicted, in_gold
 
 
-def _fscore_from_counts(common: int, in_predicted: int, in_gold: int) -> PairedFScore:
+def paired_fscore(gold: Sequence[Hashable], predicted: Sequence[Hashable]) -> PairedFScore:
+    """Precision/recall/F over unordered instance pairs grouped together.
+
+    A side with no groupable pairs (all singleton clusters) contributes 0
+    to the corresponding ratio.
+    """
+    common, in_predicted, in_gold = pair_counts(gold, predicted)
     precision = common / in_predicted if in_predicted else 0.0
     recall = common / in_gold if in_gold else 0.0
     if precision + recall == 0.0:
@@ -106,15 +112,6 @@ def _fscore_from_counts(common: int, in_predicted: int, in_gold: int) -> PairedF
     else:
         f = 2.0 * precision * recall / (precision + recall)
     return PairedFScore(precision=precision, recall=recall, f_score=f)
-
-
-def paired_fscore(gold: Sequence[Hashable], predicted: Sequence[Hashable]) -> PairedFScore:
-    """Precision/recall/F over unordered instance pairs grouped together.
-
-    A side with no groupable pairs (all singleton clusters) contributes 0
-    to the corresponding ratio.
-    """
-    return _fscore_from_counts(*pair_counts(gold, predicted))
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,10 @@ class ScoreRow:
         return self.v_measure * self.f_score
 
 
+# The ScoreRow fields an aggregate averages, in report column order.
+SCORE_FIELDS = ("f_score", "precision", "recall", "v_measure", "homogeneity", "completeness")
+
+
 @dataclass(frozen=True)
 class ScoreReport:
     per_target: tuple[ScoreRow, ...]
@@ -221,74 +222,36 @@ def score_keys(system: SenseKey, gold: SenseKey) -> ScoreReport:
     rows: list[ScoreRow] = []
     pooled_gold: list[tuple[str, str]] = []
     pooled_system: list[tuple[str, str]] = []
-    summed = np.zeros(3, dtype=np.int64)
     for target in sorted(by_target):
         gold_labels = [g for g, _ in by_target[target]]
         system_labels = [s for _, s in by_target[target]]
         rows.append(_row(target, gold_labels, system_labels))
         pooled_gold.extend((target, g) for g in gold_labels)
         pooled_system.extend((target, s) for s in system_labels)
-        summed += pair_counts(gold_labels, system_labels)
 
-    pooled_vm = v_measure(pooled_gold, pooled_system)
-    pooled_pf = _fscore_from_counts(int(summed[0]), int(summed[1]), int(summed[2]))
-    pooled = ScoreRow(
-        target=POOLED_ROW,
-        instances=len(pooled_gold),
-        precision=pooled_pf.precision,
-        recall=pooled_pf.recall,
-        f_score=pooled_pf.f_score,
-        homogeneity=pooled_vm.homogeneity,
-        completeness=pooled_vm.completeness,
-        v_measure=pooled_vm.v_measure,
-    )
-
+    # Namespaced labels pair up only within their target, so the pooled
+    # pair counts are the per-target sums.
+    pooled = _row(POOLED_ROW, pooled_gold, pooled_system)
     total = sum(row.instances for row in rows)
-    def weighted_mean(values: list[float]) -> float:
-        return sum(v * row.instances for v, row in zip(values, rows)) / total
-
     weighted = ScoreRow(
         target=WEIGHTED_ROW,
         instances=total,
-        precision=weighted_mean([r.precision for r in rows]),
-        recall=weighted_mean([r.recall for r in rows]),
-        f_score=weighted_mean([r.f_score for r in rows]),
-        homogeneity=weighted_mean([r.homogeneity for r in rows]),
-        completeness=weighted_mean([r.completeness for r in rows]),
-        v_measure=weighted_mean([r.v_measure for r in rows]),
+        **{
+            name: sum(getattr(row, name) * row.instances for row in rows) / total
+            for name in SCORE_FIELDS
+        },
     )
     return ScoreReport(per_target=tuple(rows), pooled=pooled, weighted=weighted)
 
 
 def save_score_report(report: ScoreReport, path) -> None:
     """CSV with one row per target plus the two aggregate rows."""
+    columns = (*SCORE_FIELDS, "product")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "target",
-            "instances",
-            "f_score",
-            "precision",
-            "recall",
-            "v_measure",
-            "homogeneity",
-            "completeness",
-            "product",
-        ]
-    )
-    for row in list(report.per_target) + [report.pooled, report.weighted]:
+    writer.writerow(["target", "instances", *columns])
+    for row in (*report.per_target, report.pooled, report.weighted):
         writer.writerow(
-            [
-                row.target,
-                str(row.instances),
-                SCORE_PRECISION % row.f_score,
-                SCORE_PRECISION % row.precision,
-                SCORE_PRECISION % row.recall,
-                SCORE_PRECISION % row.v_measure,
-                SCORE_PRECISION % row.homogeneity,
-                SCORE_PRECISION % row.completeness,
-                SCORE_PRECISION % row.product,
-            ]
+            [row.target, str(row.instances), *(SCORE_PRECISION % getattr(row, name) for name in columns)]
         )
     atomic_write_text(path, buffer.getvalue())

@@ -32,10 +32,10 @@ class Instance:
     tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.target:
-            raise ValueError("instance target must be non-empty")
-        if not self.id:
-            raise ValueError("instance id must be non-empty")
+        # A key line is "target instance_id label" split on whitespace.
+        for name, value in (("target", self.target), ("id", self.id)):
+            if value.split() != [value]:
+                raise ValueError(f"instance {name} must be non-empty without whitespace, got {value!r}")
         if not self.tokens:
             raise ValueError(f"instance {self.id!r} has no context tokens")
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -168,8 +168,7 @@ def induce_senses(
     Requires L2-normalized embeddings.  With the density backend, noise
     words are excluded from every vocabulary, and an all-noise result falls
     back to a single sense holding the whole neighborhood.  With the
-    partition backend, k is ``backend.k``, clamped to the neighborhood
-    size.
+    partition backend, k is ``backend.k``, which must lie in [1, n].
     """
     word = resolve_target(embeddings, target)
     if word is None:
@@ -180,28 +179,21 @@ def induce_senses(
         result = dbscan(cloud.points, eps=backend.eps, min_pts=backend.min_pts)
         if result.n_clusters == 0:
             return SenseClusters(target=target, word=word, clusters=(cloud.words,))
-        clusters = tuple(
-            tuple(cloud.words[i] for i in result.members(c).tolist())
-            for c in range(result.n_clusters)
-        )
-        noise = tuple(cloud.words[i] for i in result.members(NOISE).tolist())
-        return SenseClusters(target=target, word=word, clusters=clusters, noise=noise)
-
-    if backend.k is None:
-        raise ValueError(f"target {target!r}: partition backend needs k (none derived)")
-    if backend.k < 1:
-        raise ValueError(f"target {target!r}: k must be >= 1, got {backend.k}")
-    effective = min(backend.k, len(cloud))
-    if effective < backend.k:
-        logger.warning(
-            "target %r: k=%d exceeds neighborhood size %d, clamped", target, backend.k, len(cloud)
-        )
-    result = kmeans(cloud.points, k=effective, seed=backend.seed)
+    else:
+        if backend.k is None:
+            raise ValueError(f"target {target!r}: partition backend needs k (none derived)")
+        if not 1 <= backend.k <= len(cloud):
+            raise ValueError(
+                f"target {target!r}: k must be >= 1 and at most the neighborhood size "
+                f"{len(cloud)}, got {backend.k}"
+            )
+        result = kmeans(cloud.points, k=backend.k, seed=backend.seed).clustering
     clusters = tuple(
-        tuple(cloud.words[i] for i in result.clustering.members(c).tolist())
-        for c in range(result.clustering.n_clusters)
+        tuple(cloud.words[i] for i in result.members(c).tolist())
+        for c in range(result.n_clusters)
     )
-    return SenseClusters(target=target, word=word, clusters=clusters)
+    noise = tuple(cloud.words[i] for i in result.members(NOISE).tolist())
+    return SenseClusters(target=target, word=word, clusters=clusters, noise=noise)
 
 
 def assign_instance(instance: Instance, senses: SenseClusters) -> str:
@@ -249,9 +241,10 @@ def run_opn(
     Aborts with a listing if any target is absent from the vocabulary
     under both its raw form and its lemma.  With the partition backend and
     k=None, each target gets a copy of the backend whose k is derived from
-    the target's score percentile within the evaluated population.  Sense
-    labels read "<target>.sense_<index>"; output is independent of instance
-    order.
+    the target's score percentile within the evaluated population.  A k
+    above ``config.n`` is clamped to it, with one warning per target in
+    target order.  Sense labels read "<target>.sense_<index>"; output is
+    independent of instance order.
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
@@ -271,6 +264,13 @@ def run_opn(
             raise ValueError(
                 f"percentile-k scoring of the targets (tps_n={backend.tps_n}): {err}"
             ) from None
+    # Clamped here, in target order, so the log does not follow the thread pool.
+    for t in targets:
+        if isinstance(backends[t], KmeansConfig) and backends[t].k > config.n:
+            logger.warning(
+                "target %r: k=%d exceeds neighborhood size %d, clamped", t, backends[t].k, config.n
+            )
+            backends[t] = replace(backends[t], k=config.n)
 
     induced = map_ordered(lambda t: induce_senses(embeddings, t, config.n, backends[t]), targets)
     senses = dict(zip(targets, induced))

@@ -30,7 +30,6 @@ from topolysemy import (
     pearson_with_p,
     pinched_neighborhood_embedding,
     planted_two_sense_dataset,
-    resolve_target,
     run_opn,
     score_keys,
     tps_batch,
@@ -42,6 +41,7 @@ from topolysemy import (
 from topolysemy.persistence import PersistenceDiagram
 from topolysemy.synthetic import random_embedding
 from topolysemy.tps import predicted_k
+from topolysemy.wsi import resolve_target
 
 EMPTY = PersistenceDiagram(bars=np.empty((0, 2)))
 

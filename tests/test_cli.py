@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,14 @@ import pytest
 
 from conftest import save_vec_file
 import topolysemy
-from topolysemy import load_key, planted_two_sense_dataset, save_tps_csv, score_keys, write_key
+from topolysemy import (
+    EmbeddingSet,
+    load_key,
+    planted_two_sense_dataset,
+    save_tps_csv,
+    score_keys,
+    write_key,
+)
 from topolysemy.synthetic import random_embedding
 from topolysemy.tps import TpsReport
 from topolysemy.wsi import SenseKey
@@ -245,6 +253,19 @@ class TestWsiCommand:
         assert rc == 1
         assert "not in vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance_id", ["a 1.0", "a\t1"])
+    def test_whitespace_in_instance_id_rejected(self, planted_files, tmp_path, capsys, instance_id):
+        instances = tmp_path / "spaced.jsonl"
+        lines = planted_files["instances"].read_text().splitlines()
+        bad = json.dumps({"target": "pivot.n", "id": instance_id, "tokens": ["b0w1"]})
+        instances.write_text("\n".join(lines[:3] + [bad] + lines[3:]) + "\n")
+        out = tmp_path / "system.key"
+        rc = self.run_wsi({**planted_files, "instances": instances}, out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"spaced.jsonl:4: instance id must be non-empty without whitespace, got {instance_id!r}" in err
+        assert not out.exists()
+
     def test_missing_instances_file(self, planted_files, tmp_path, capsys):
         rc = main(
             [
@@ -411,6 +432,26 @@ class TestCorrelateCommand:
         assert rc == 0
         assert "r=1.000000 p=0 n=3" in captured.out
         assert out.read_text() == "word,tps,count\na,1.000000,2\nb,2.000000,4\nc,3.000000,6\n"
+
+    def test_word_with_a_comma_is_quoted_as_tps_quotes_it(self, tmp_path, capsys):
+        base = random_embedding(8, 4)
+        words = ("1,000",) + base.words[1:]
+        vectors = tmp_path / "v.vec"
+        save_vec_file(EmbeddingSet(words=words, vectors=base.vectors), vectors)
+        tps = tmp_path / "tps.csv"
+        assert main(["tps", "--vectors", str(vectors), "--all", "--n", "3", "--out", str(tps)]) == 0
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(words)))
+        out = tmp_path / "scatter.csv"
+        assert main(["correlate", "--tps", str(tps), "--counts", str(counts), "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows] == ["word", *words]
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith('"1,000",')
+        for (word, score, count), line in zip(rows[2:], lines[2:]):
+            assert line == f"{word},{float(score):.6f},{count}"
 
     def test_constant_counts_fail(self, tmp_path, capsys):
         tps, counts = self.write_inputs(tmp_path, [("a", 5), ("b", 5), ("c", 5)])

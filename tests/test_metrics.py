@@ -268,17 +268,55 @@ class TestScoreKeys:
             assert aggregate.f_score == pytest.approx(row.f_score, abs=1e-12)
 
 
-def test_save_score_report(tmp_path):
-    key = key_from({"t1": ["a", "a"], "t2": ["x", "y"]})
-    report = score_keys(key, key)
-    path = tmp_path / "scores.csv"
-    save_score_report(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "target,instances,f_score,precision,recall,"
-        "v_measure,homogeneity,completeness,product"
+    @given(
+        st.dictionaries(
+            st.sampled_from(["t1", "t2", "t3", "t4"]), paired_labelings(), min_size=1, max_size=4
+        )
     )
-    assert len(lines) == 5
-    assert lines[1].startswith("t1,2,1.000000")
-    assert lines[3].startswith("ALL_POOLED,4,")
-    assert lines[4].startswith("ALL_WEIGHTED,4,")
+    def test_aggregates_equal_their_definitions(self, pairs_by_target):
+        gold = key_from({t: g for t, (g, _) in pairs_by_target.items()})
+        system = key_from({t: s for t, (_, s) in pairs_by_target.items()})
+        report = score_keys(system, gold)
+        targets = sorted(pairs_by_target)
+        gold_labels = {t: [f"{t}.{g}" for g in pairs_by_target[t][0]] for t in targets}
+        system_labels = {t: [f"{t}.{s}" for s in pairs_by_target[t][1]] for t in targets}
+
+        # Pooled pairs: the per-target pair counts summed.
+        per_target = [pair_counts(gold_labels[t], system_labels[t]) for t in targets]
+        common, in_predicted, in_gold = (sum(counts) for counts in zip(*per_target))
+        precision = common / in_predicted if in_predicted else 0.0
+        recall = common / in_gold if in_gold else 0.0
+        f = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+        pooled = report.pooled
+        assert (pooled.precision, pooled.recall, pooled.f_score) == (precision, recall, f)
+
+        expected = v_measure(
+            [(t, g) for t in targets for g in gold_labels[t]],
+            [(t, s) for t in targets for s in system_labels[t]],
+        )
+        assert (pooled.homogeneity, pooled.completeness, pooled.v_measure) == (
+            expected.homogeneity,
+            expected.completeness,
+            expected.v_measure,
+        )
+
+        rows = report.per_target
+        total = sum(row.instances for row in rows)
+        assert report.weighted.instances == pooled.instances == total
+        for name in ("precision", "recall", "f_score", "homogeneity", "completeness", "v_measure"):
+            mean = sum(getattr(row, name) * row.instances for row in rows) / total
+            assert getattr(report.weighted, name) == mean
+
+
+def test_save_score_report(tmp_path):
+    gold = key_from({"t1": ["a", "a", "b", "b"], "t2": ["a", "a"]})
+    system = key_from({"t1": [0, 0, 1, 2], "t2": [0, 0]})
+    path = tmp_path / "scores.csv"
+    save_score_report(score_keys(system, gold), path)
+    assert path.read_bytes() == (
+        b"target,instances,f_score,precision,recall,v_measure,homogeneity,completeness,product\n"
+        b"t1,4,0.666667,1.000000,0.500000,0.800000,1.000000,0.666667,0.533333\n"
+        b"t2,2,1.000000,1.000000,1.000000,1.000000,1.000000,1.000000,1.000000\n"
+        b"ALL_POOLED,6,0.800000,1.000000,0.666667,0.904850,1.000000,0.826235,0.723880\n"
+        b"ALL_WEIGHTED,6,0.777778,1.000000,0.666667,0.866667,1.000000,0.777778,0.674074\n"
+    )

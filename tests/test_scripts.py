@@ -1,13 +1,16 @@
 """Smoke runs of the scripts under scripts/, which import the package's public names."""
 
+import glob
 import json
 import os
+import re
 import runpy
 import sys
 
 import numpy as np
 import pytest
 
+import topolysemy
 from conftest import save_vec_file
 from topolysemy import EmbeddingSet, planted_two_sense_dataset, write_key
 from topolysemy.cli import build_parser
@@ -167,3 +170,16 @@ def test_run_semeval_takes_the_wsi_options_and_defaults():
         del cli_args["subcommand"], cli_args["out"]
         script_args = vars(script_parser.parse_args([*required, *wsi_argv, "--gold-key", "g", "--outdir", "d"]))
         assert {name: script_args.get(name, "absent") for name in cli_args} == cli_args
+
+
+def test_every_export_is_used_by_the_readme_or_a_script():
+    # The README's export rule: the package exports what the README and the
+    # scripts use, plus ParseError and __version__.
+    readme = os.path.join(os.path.dirname(SCRIPTS), "README.md")
+    texts = [readme, *sorted(glob.glob(os.path.join(SCRIPTS, "*.py")))]
+    used = ""
+    for path in texts:
+        with open(path, encoding="utf-8") as handle:
+            used += handle.read()
+    exported = set(topolysemy.__all__) - {"ParseError", "__version__"}
+    assert sorted(n for n in exported if not re.search(rf"\b{n}\b", used)) == []

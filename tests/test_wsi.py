@@ -18,12 +18,11 @@ from topolysemy import (
     load_instances,
     load_key,
     planted_two_sense_dataset,
-    resolve_target,
     run_opn,
     write_key,
 )
 from topolysemy.embeddings import l2_normalize_all
-from topolysemy.wsi import SenseClusters, SenseKey, target_lemma
+from topolysemy.wsi import SenseClusters, SenseKey, resolve_target, target_lemma
 
 
 def make_senses(clusters, target="t.n", word="t"):
@@ -107,13 +106,10 @@ class TestInduceSenses:
         assert len(senses) == 1
         assert len(senses.clusters[0]) == 10
 
-    def test_kmeans_k_clamped_to_neighborhood_size(self, caplog):
-        data = planted_two_sense_dataset()
-        emb = l2_normalize_all(data.embeddings)
-        with caplog.at_level(logging.WARNING, logger="topolysemy"):
-            senses = induce_senses(emb, data.target, 5, KmeansConfig(k=30))
-        assert len(senses) == 5
-        assert "clamped" in caplog.text
+    def test_kmeans_k_above_neighborhood_size_rejected(self):
+        emb = axis_embedding(["w", "a", "b"])
+        with pytest.raises(ValueError, match="at most the neighborhood size 2, got 3"):
+            induce_senses(emb, "w", 2, KmeansConfig(k=3))
 
     def test_kmeans_without_k_anywhere_rejected(self):
         emb = axis_embedding(["w", "a", "b"])
@@ -175,6 +171,27 @@ class TestRunOpn:
         with pytest.raises(KeyError, match=r"2 targets.*ghost\.n.*wraith\.v"):
             run_opn(data.embeddings, bad, OpnConfig(n=48))
 
+    def test_kmeans_k_clamped_to_neighborhood_size(self, caplog):
+        data = planted_two_sense_dataset()
+        config = OpnConfig(n=5, backend=KmeansConfig(k=30))
+        with caplog.at_level(logging.WARNING, logger="topolysemy"):
+            result = run_opn(data.embeddings, data.instances, config)
+        assert len(result.senses[data.target]) == 5
+        assert "k=30 exceeds neighborhood size 5, clamped" in caplog.text
+
+    def test_clamp_warnings_in_target_order_whatever_the_threads(self, caplog, monkeypatch):
+        monkeypatch.setenv("TPS_THREADS", "2")
+        data = planted_two_sense_dataset()
+        targets = [f"b{b}w{i}" for i in range(12) for b in (1, 0)]
+        instances = [Instance(target=t, id="x", tokens=("pivot",)) for t in targets]
+        config = OpnConfig(n=5, backend=KmeansConfig(k=30))
+        for _ in range(10):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="topolysemy"):
+                run_opn(data.embeddings, instances, config)
+            warned = [r.args[0] for r in caplog.records if "clamped" in r.getMessage()]
+            assert warned == sorted(targets)
+
     def test_kmeans_auto_k_over_two_targets(self):
         data = planted_two_sense_dataset()
         instances = data.instances[:2] + (
@@ -227,6 +244,9 @@ class TestSenseContainers:
             {"target": "", "id": "i", "tokens": ("a",)},
             {"target": "t", "id": "", "tokens": ("a",)},
             {"target": "t", "id": "i", "tokens": ()},
+            {"target": "t n", "id": "i", "tokens": ("a",)},
+            {"target": "t", "id": "a 1.0", "tokens": ("a",)},
+            {"target": "t", "id": "a\t1", "tokens": ("a",)},
         ],
     )
     def test_instance_validation(self, kwargs):
