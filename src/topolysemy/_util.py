@@ -12,8 +12,9 @@ R = TypeVar("R")
 
 THREADS_ENV = "TPS_THREADS"
 
-# Element budget of one row chunk of a similarity product: 4M float64
-# values, 32 MB, whatever the number of rows.
+# Element budget of one row chunk of a similarity product, whatever the
+# number of rows: 4M values, 32 MB in float64 (the neighbor search) and
+# 16 MB in float32 (dbscan's eps graph).
 CHUNK_ELEMENTS = 4_000_000
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -48,6 +49,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
+    return value
+
+
 def _k_value(text: str) -> int | None:
     if text == "auto":
         return None
@@ -61,7 +72,7 @@ def wsi_options() -> argparse.ArgumentParser:
     options.add_argument("--instances", required=True, help="JSONL instances (target, id, tokens)")
     options.add_argument("--backend", choices=("dbscan", "kmeans"), default="dbscan")
     options.add_argument("--n", type=_positive_int, default=5000, help="neighborhood size (default 5000)")
-    options.add_argument("--eps", type=float, default=0.09, help="dbscan cosine radius (default 0.09)")
+    options.add_argument("--eps", type=_positive_float, default=0.09, help="dbscan cosine radius (default 0.09)")
     options.add_argument("--min-pts", type=_positive_int, default=2, help="dbscan core threshold (default 2)")
     options.add_argument("--k", type=_k_value, default=None, help="kmeans cluster count, or 'auto'")
     options.add_argument("--seed", type=int, default=0, help="kmeans seed (default 0)")

@@ -63,29 +63,82 @@ class Clustering:
         return np.flatnonzero(self.labels == cluster_id)
 
 
+# The eps graph filters pairs by a float32 product, then decides those near
+# the cut exactly.  Let u = 2^-24, the float32 unit roundoff, and let a, b be
+# rows of R^d within _UNIT_TOL of unit length, so that |a|.|b| (coordinates
+# taken in absolute value) is at most (1 + _UNIT_TOL)^2.  Casting to float32
+# moves each coordinate by at most u relative, so the cast rows' exact dot
+# product is within (2u + u^2) |a|.|b| of a.b.  Rounding the d products and
+# summing them in float32, in any order, adds at most d u / (1 - d u) |a|.|b|
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  To
+# first order the float32 similarity is therefore within (d + 2) u of a.b.
+# The margin doubles that, which covers the higher-order terms, the unit
+# tolerance and the float64 rounding (about d 2^-53) of the exact per-pair
+# similarity that decides the pairs inside it.  The float32 cuts themselves
+# are rounded outward, so their own rounding cannot move a pair across.
+_FLOAT32_UNIT = 2.0**-24
+
+
+def _float32_margin(dim: int) -> float:
+    """Distance from the cut inside which a pair's float32 similarity is not trusted."""
+    return 2.0 * (dim + 2) * _FLOAT32_UNIT
+
+
+def _exact_within(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each pair (rows[i], cols[i]) has exact cosine distance <= eps.
+
+    The per-pair dot product depends only on the two rows, whatever the
+    batch; batches hold chunk_rows(d) pairs.
+    """
+    batch = chunk_rows(points.shape[1])
+    within = np.empty(rows.shape[0], dtype=bool)
+    for start in range(0, rows.shape[0], batch):
+        pick = slice(start, start + batch)
+        similarity = np.multiply(points[rows[pick]], points[cols[pick]]).sum(axis=1)
+        within[pick] = 1.0 - similarity <= eps
+    return within
+
+
 def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
     """Boolean adjacency of point pairs with cosine distance <= eps.
 
-    Includes the diagonal (each point is within eps of itself).  Built in
-    row chunks so the full similarity matrix never materializes.
+    Includes the diagonal (each unit point is within eps of itself).  Each
+    chunk of chunk_rows(n) rows is multiplied in float32 with the rows at
+    and after it only.  Pairs more than _float32_margin above the cut are
+    edges and pairs below it are not; _exact_within decides the rest.  The
+    upper triangle is then mirrored, so the graph is symmetric and every
+    pair's decision depends only on its two rows, not on the chunk size.
     """
-    n = points.shape[0]
+    n, dim = points.shape
+    single = points.astype(np.float32)
+    margin = _float32_margin(dim)
+    floor = np.nextafter(np.float32(1.0 - eps - margin), np.float32(-np.inf))
+    sure = np.nextafter(np.float32(1.0 - eps + margin), np.float32(np.inf))
     chunk = chunk_rows(n)
     # One buffer for every chunk, so the chunks allocate no float arrays.
-    buffer = np.empty((min(chunk, n), n))
+    buffer = np.empty(min(chunk, n) * n, dtype=np.float32)
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        distances = np.matmul(points[start:stop], points.T, out=buffer[: stop - start])
-        np.subtract(1.0, distances, out=distances)
-        local_rows, cols = np.nonzero(distances <= eps)
-        row_parts.append(local_rows + start)
-        col_parts.append(cols)
-    rows = np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.int64)
-    data = np.ones(rows.shape[0], dtype=np.int8)
-    graph = csr_matrix((data, (rows, cols)), shape=(n, n))
+        width = n - start
+        out = buffer[: (stop - start) * width].reshape(stop - start, width)
+        similarities = np.matmul(single[start:stop], single[start:].T, out=out)
+        flat = np.flatnonzero(similarities >= floor)
+        rows, cols = np.divmod(flat, width)
+        upper = cols >= rows
+        flat, rows, cols = flat[upper], rows[upper] + start, cols[upper] + start
+        keep = similarities.ravel()[flat] >= sure
+        near = ~keep
+        keep[near] = _exact_within(points, rows[near], cols[near], eps)
+        row_parts.append(rows[keep])
+        col_parts.append(cols[keep])
+    # Chunks come in row order and each chunk's pairs in (row, col) order.
+    cols = np.concatenate(col_parts)
+    indptr = np.searchsorted(np.concatenate(row_parts), np.arange(n + 1))
+    upper = csr_matrix((np.ones(cols.shape[0], dtype=np.int8), cols, indptr), shape=(n, n))
+    graph = (upper + upper.T).tocsr()
+    graph.data[:] = 1  # the mirror counted the diagonal twice
     graph.sort_indices()
     return graph
 
@@ -102,8 +155,8 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-d matrix, got shape {points.shape}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     n = points.shape[0]

@@ -184,6 +184,22 @@ class TestWsiCommand:
         assert self.run_wsi(planted_files, second) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_eps_must_be_positive_and_finite_before_vectors_load(self, tmp_path, capsys, eps):
+        # The vectors file does not exist, so only the parser can exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "wsi",
+                    "--vectors", str(tmp_path / "missing.vec"),
+                    "--instances", str(tmp_path / "missing.jsonl"),
+                    "--eps", eps,
+                    "--out", str(tmp_path / "system.key"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--eps: expected a positive finite number" in capsys.readouterr().err
+
     def test_kmeans_backend_with_fixed_k(self, planted_files, tmp_path):
         out = tmp_path / "system.key"
         rc = self.run_wsi(planted_files, out, extra=("--backend", "kmeans", "--k", "2"))

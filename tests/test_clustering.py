@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_unit_rows
-from topolysemy import dbscan, kmeans
-from topolysemy.clustering import NOISE, Clustering, farthest_first_centers
+from test_neighborhood import UNIT
+from topolysemy import _util, dbscan, kmeans
+from topolysemy.clustering import (
+    _UNIT_TOL,
+    NOISE,
+    Clustering,
+    _float32_margin,
+    _within_eps_graph,
+    farthest_first_centers,
+)
 
 
 def unit_circle(degrees):
@@ -84,6 +92,11 @@ class TestDbscan:
         with pytest.raises(ValueError, match="eps"):
             dbscan(unit_circle([0.0]), eps=eps)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            dbscan(unit_circle([0.0]), eps=eps)
+
     def test_min_pts_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_pts"):
             dbscan(unit_circle([0.0]), min_pts=0)
@@ -91,6 +104,106 @@ class TestDbscan:
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
             dbscan(np.array([[1.0, 1.0]]))
+
+
+def reference_dbscan(rows, eps, min_pts):
+    """Plain-Python dbscan on exact dot products: (labels, n_clusters, adjacency)."""
+    n = len(rows)
+    near = [
+        [j for j in range(n) if 1.0 - sum(a * b for a, b in zip(rows[i], rows[j])) <= eps]
+        for i in range(n)
+    ]
+    core = [len(near[i]) >= min_pts for i in range(n)]
+    labels = [NOISE] * n
+    n_clusters = 0
+    for seed in range(n):
+        if not core[seed] or labels[seed] != NOISE:
+            continue
+        labels[seed] = n_clusters
+        stack = [seed]
+        while stack:
+            for j in near[stack.pop()]:
+                if core[j] and labels[j] == NOISE:
+                    labels[j] = n_clusters
+                    stack.append(j)
+        n_clusters += 1
+    for i in range(n):
+        reached = [j for j in near[i] if core[j]]
+        if not core[i] and reached:
+            labels[i] = labels[min(reached)]
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        adjacency[i, near[i]] = 1
+    return labels, n_clusters, adjacency
+
+
+@st.composite
+def dyadic_clouds(draw):
+    """(rows, eps, min_pts, block): unit rows of R^4 whose dot products are exact.
+
+    Cosine distances between them are 0, 0.5, 1, 1.5 or 2, so at eps = 0.5,
+    1 or 1.5 some pairs sit exactly on the cut, and just below 0.5 or 1 they
+    miss it by one ulp.
+    """
+    picks = draw(st.lists(st.integers(0, len(UNIT) - 1), min_size=1, max_size=14))
+    just_below = [float(np.nextafter(cut, 0.0)) for cut in (0.5, 1.0)]
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, *just_below]))
+    min_pts = draw(st.integers(1, 5))
+    block = draw(st.sampled_from([1, 3, len(picks)]))
+    return [list(UNIT[p]) for p in picks], eps, min_pts, block
+
+
+@given(dyadic_clouds())
+def test_dbscan_matches_plain_python_reference(case):
+    rows, eps, min_pts, block = case
+    labels, n_clusters, adjacency = reference_dbscan(rows, eps, min_pts)
+    points = np.array(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
+        graph = _within_eps_graph(points, eps)
+        result = dbscan(points, eps=eps, min_pts=min_pts)
+    assert (graph != graph.T).nnz == 0
+    assert np.array_equal(graph.toarray(), adjacency)
+    assert result.labels.tolist() == labels
+    assert result.n_clusters == n_clusters
+
+
+@pytest.mark.parametrize("dim", [7, 100])
+def test_pairs_planted_on_the_cut_are_decided_exactly(rng, dim):
+    # eps is set to the exact cosine distance of a pair, or one ulp below it,
+    # so the pair sits on or just off the cut and only the exact per-pair
+    # product can decide it.
+    points = random_unit_rows(rng, 40, dim)
+    points[20:] = points[:20] + 0.3 * random_unit_rows(rng, 20, dim)
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+
+    def exact_distance(i, j):
+        return 1.0 - np.multiply(points[[i]], points[[j]]).sum(axis=1)[0]
+
+    for i in range(3):
+        on_cut = exact_distance(i, 20 + i)
+        eps = on_cut if i < 2 else float(np.nextafter(on_cut, 0.0))
+        expected = np.array(
+            [[exact_distance(a, b) <= eps for b in range(40)] for a in range(40)], dtype=np.int8
+        )
+        for block in (1, 3, 40):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_util, "CHUNK_ELEMENTS", block * 40)
+                graph = _within_eps_graph(points, eps)
+            assert graph[i, 20 + i] == (eps == on_cut)
+            assert np.array_equal(graph.toarray(), expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 100, 300])
+def test_float32_product_lies_within_half_the_filter_margin(rng, dim):
+    points = random_unit_rows(rng, 300, dim)
+    points *= 1.0 + rng.uniform(-_UNIT_TOL, _UNIT_TOL, size=(300, 1))
+    single = points.astype(np.float32)
+    exact = points @ points.T
+    bound = _float32_margin(dim) / 2
+    assert np.abs(single @ single.T - exact).max() <= bound
+    # A one-row chunk takes a matrix-vector kernel with another summation order.
+    assert np.abs(single[:1] @ single.T - exact[:1]).max() <= bound
 
 
 class TestKmeans:

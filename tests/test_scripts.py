@@ -105,8 +105,15 @@ def test_run_semeval_reports_input_errors_in_one_line(tmp_path, monkeypatch, cap
     assert err == "error: n=50 exceeds the 48 available neighbors\n"
 
 
-@pytest.mark.parametrize("option", ["--k", "--n"])
-def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, capsys, option):
+@pytest.mark.parametrize(
+    "option, expected",
+    [
+        pytest.param("--k", "a positive integer, got 0", id="--k"),
+        pytest.param("--n", "a positive integer, got 0", id="--n"),
+        pytest.param("--eps", "a positive finite number, got 0.0", id="--eps"),
+    ],
+)
+def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, capsys, option, expected):
     data = planted_two_sense_dataset()
     outdir = tmp_path / "eval"
     run_script(
@@ -118,7 +125,7 @@ def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, ca
         code=2,
     )
     err = capsys.readouterr().err
-    assert err.endswith(f"run_semeval.py: error: argument {option}: expected a positive integer, got 0\n")
+    assert err.endswith(f"run_semeval.py: error: argument {option}: expected {expected}\n")
     assert not outdir.exists()
 
 
