@@ -9,8 +9,9 @@ target (--tps-n neighborhood), induce senses and label all instances,
 evaluate against the gold key, and correlate scores with gold sense counts
 and with corpus frequency.  All outputs land in --outdir.  The options are
 `topolysemy wsi`'s with the same defaults and checks, so bad values and
-missing input files are rejected before the vectors load.  An input error
-is one "error: ..." line with exit code 1.
+missing input files are rejected before the vectors load, and an empty
+instances file before anything is written.  An input error is one
+"error: ..." line with exit code 1.
 
 Usage:
     python scripts/run_semeval.py --vectors vectors.vec --instances test.jsonl \
@@ -26,7 +27,6 @@ import os
 from topolysemy import (
     PercentileTable,
     load_count_table,
-    load_instances,
     load_key,
     pearson_with_p,
     run_opn,
@@ -36,7 +36,7 @@ from topolysemy import (
     tps_batch,
     write_key,
 )
-from topolysemy.cli import load_vectors, opn_config, run, wsi_options
+from topolysemy.cli import load_nonempty_instances, load_vectors, opn_config, run, wsi_options
 from topolysemy.wsi import resolve_targets
 
 
@@ -54,9 +54,10 @@ def main() -> int:
 
 
 def evaluate(args: argparse.Namespace) -> int:
+    # Instances first, so an empty file stops the run before anything is written.
+    instances = load_nonempty_instances(args.instances)
     os.makedirs(args.outdir, exist_ok=True)
     embeddings = load_vectors(args.vectors)
-    instances = load_instances(args.instances)
     gold = load_key(args.gold_key)
     print(f"{len(embeddings)} vectors, {len(instances)} instances, {len(gold)} gold rows")
 

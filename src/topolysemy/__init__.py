@@ -32,7 +32,6 @@ from .wsi import (
     OpnConfig,
     assign_instance,
     induce_senses,
-    load_instances,
     load_key,
     run_opn,
     write_key,
@@ -72,7 +71,6 @@ __all__ = [
     "OpnConfig",
     "assign_instance",
     "induce_senses",
-    "load_instances",
     "load_key",
     "run_opn",
     "write_key",

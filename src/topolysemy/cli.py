@@ -9,7 +9,8 @@ Four subcommands over the library pipeline:
 
 Every command validates its paths up front, writes outputs atomically, and
 exits 0 only when all requested outputs were written.  TPS_THREADS caps the
-worker pool.  The scripts under scripts/ share wsi_options, opn_config and run.
+worker pool.  The scripts under scripts/ share wsi_options, opn_config, the
+loaders and run.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .metrics import pearson_with_p, save_score_report, score_keys
 from .tps import load_tps_csv, save_tps_csv, tps_batch
 from .wsi import (
     DbscanConfig,
+    Instance,
     KmeansConfig,
     OpnConfig,
     load_instances,
@@ -71,14 +73,22 @@ def wsi_options() -> argparse.ArgumentParser:
     options.add_argument("--vectors", required=True, help=".vec embedding file")
     options.add_argument("--instances", required=True, help="JSONL instances (target, id, tokens)")
     options.add_argument("--backend", choices=("dbscan", "kmeans"), default="dbscan")
-    options.add_argument("--n", type=_positive_int, default=5000, help="neighborhood size (default 5000)")
-    options.add_argument("--eps", type=_positive_float, default=0.09, help="dbscan cosine radius (default 0.09)")
-    options.add_argument("--min-pts", type=_positive_int, default=2, help="dbscan core threshold (default 2)")
-    options.add_argument("--k", type=_k_value, default=None, help="kmeans cluster count, or 'auto'")
-    options.add_argument("--seed", type=int, default=0, help="kmeans seed (default 0)")
     options.add_argument(
-        "--tps-n", type=_positive_int, default=50,
-        help="neighborhood size of the scores behind --k auto (default 50)",
+        "--n", type=_positive_int, default=OpnConfig.n, help="neighborhood size (default %(default)s)"
+    )
+    options.add_argument(
+        "--eps", type=_positive_float, default=DbscanConfig.eps,
+        help="dbscan cosine radius (default %(default)s)",
+    )
+    options.add_argument(
+        "--min-pts", type=_positive_int, default=DbscanConfig.min_pts,
+        help="dbscan core threshold (default %(default)s)",
+    )
+    options.add_argument("--k", type=_k_value, default=KmeansConfig.k, help="kmeans cluster count, or 'auto'")
+    options.add_argument("--seed", type=int, default=KmeansConfig.seed, help="kmeans seed (default %(default)s)")
+    options.add_argument(
+        "--tps-n", type=_positive_int, default=KmeansConfig.tps_n,
+        help="neighborhood size of the scores behind --k auto (default %(default)s)",
     )
     return options
 
@@ -162,6 +172,14 @@ def load_vectors(path: str) -> EmbeddingSet:
     return embeddings
 
 
+def load_nonempty_instances(path: str) -> list[Instance]:
+    """Instances of a JSONL file; a file without any is an input error."""
+    instances = load_instances(path)
+    if not instances:
+        raise ValueError(f"no instances in {path}")
+    return instances
+
+
 def cmd_tps(args: argparse.Namespace) -> int:
     embeddings = load_vectors(args.vectors)
     if args.all_words:
@@ -207,9 +225,7 @@ def opn_config(args: argparse.Namespace) -> OpnConfig:
 
 def cmd_wsi(args: argparse.Namespace) -> int:
     embeddings = load_vectors(args.vectors)
-    instances = load_instances(args.instances)
-    if not instances:
-        raise ValueError(f"no instances in {args.instances}")
+    instances = load_nonempty_instances(args.instances)
     result = run_opn(embeddings, instances, opn_config(args))
     write_key(result.key, args.out)
     print(

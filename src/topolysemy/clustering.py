@@ -178,11 +178,8 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     core_graph = graph[core_idx][:, core_idx]
     _, raw_comp = connected_components(core_graph, directed=False)
     # Contiguous ids ordered by each component's smallest core index.
-    remap: dict[int, int] = {}
-    for comp in raw_comp.tolist():
-        if comp not in remap:
-            remap[comp] = len(remap)
-    core_labels = np.array([remap[c] for c in raw_comp.tolist()], dtype=np.int64)
+    _, first, inverse = np.unique(raw_comp, return_index=True, return_inverse=True)
+    core_labels = np.argsort(np.argsort(first))[inverse]
     labels[core_idx] = core_labels
 
     border_idx = np.flatnonzero(~core)
@@ -195,7 +192,7 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
         first_core = reach.indices[starts[has_core]]
         labels[border_idx[has_core]] = core_labels[first_core]
 
-    return Clustering(labels=labels, n_clusters=len(remap))
+    return Clustering(labels=labels, n_clusters=first.size)
 
 
 def _squared_distances(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -254,13 +251,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
     for n_iter in range(1, max_iter + 1):
         sq = _squared_distances(points, point_sq, centers)
         step = sq.argmin(axis=1)
-        counts = np.bincount(step, minlength=k)
-        if (counts == 0).any():
+        empty = np.flatnonzero(np.bincount(step, minlength=k) == 0)
+        if empty.size:
+            # Farthest points first, ties to the lowest point index.
             contributions = sq[np.arange(points.shape[0]), step]
-            for empty in np.flatnonzero(counts == 0):
-                pick = int(np.argmax(contributions))
-                step[pick] = empty
-                contributions[pick] = -1.0
+            step[np.argsort(-contributions, kind="stable")[: empty.size]] = empty
         for c in range(k):
             centers[c] = points[step == c].mean(axis=0)
         converged = np.array_equal(step, labels)

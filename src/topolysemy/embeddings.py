@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +22,11 @@ from ._util import ParseError, atomic_write_text, chunk_rows
 _SAFE_NORMS = (1e-150, 1e150)
 
 _COUNT_RE = re.compile(r"\d+")
+# A .vec field is a run of characters other than ASCII whitespace, as fastText
+# writes it, so a word may hold other whitespace (U+00A0, U+3000).
+_VEC_FIELD_RE = re.compile(r"[^ \t\n\r\f\v]+")
+# For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
+_TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +84,9 @@ def load_vec_file(path) -> EmbeddingSet:
     """Parse a ".vec" text file into an EmbeddingSet, preserving file order.
 
     Raises ParseError (with the offending line number) on a malformed
-    header, wrong row arity, unparseable or non-finite numbers, duplicate
-    words, or a row count that contradicts the header.
+    header or one too large to allocate, wrong row arity, unparseable or
+    non-finite numbers, duplicate words, or a row count that contradicts the
+    header.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
@@ -98,11 +104,24 @@ def load_vec_file(path) -> EmbeddingSet:
 
         words: list[str] = []
         seen: dict[str, int] = {}
-        rows = np.empty((declared, dim), dtype=np.float64)
+        try:
+            rows = np.empty((declared, dim), dtype=np.float64)
+        except (MemoryError, ValueError):
+            raise ParseError(
+                f"{path}:1: header N={declared} d={dim} needs {declared * dim * 8:,} bytes "
+                "of float64, more than can be allocated"
+            ) from None
         for lineno, line in enumerate(handle, start=2):
             fields = line.split()
             if not fields:
                 continue
+            # split() also splits on non-ASCII whitespace, which can cut or trim
+            # a word.  When the word is not followed by an ASCII space, the fields
+            # split on ASCII whitespace are used if their count fits.
+            if not line.startswith(fields[0] + " "):
+                ascii_fields = _VEC_FIELD_RE.findall(line)
+                if len(ascii_fields) == dim + 1:
+                    fields = ascii_fields
             word, values = fields[0], fields[1:]
             if len(values) != dim:
                 raise ParseError(
@@ -188,19 +207,12 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
 
 
-def tokenize(text: str) -> Iterator[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip non-alphanumeric affixes.
 
     Tokens emptied by stripping (pure punctuation) are dropped.
     """
-    for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and not raw[start].isalnum():
-            start += 1
-        while end > start and not raw[end - 1].isalnum():
-            end -= 1
-        if end > start:
-            yield raw[start:end]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def count_corpus(path) -> dict[str, int]:

@@ -208,19 +208,14 @@ def assign_instance(instance: Instance, senses: SenseClusters) -> str:
     context = set(instance.tokens)
     context.discard(senses.word)
     context.discard(target_lemma(senses.target))
-    best_index = 0
-    best_rank: tuple[float, int] = (-1.0, -1)
-    for index, cluster in enumerate(senses.clusters):
-        vocabulary = set(cluster)
-        raw = len(context & vocabulary)
-        rank = (raw / len(vocabulary), raw)
-        if rank > best_rank:
-            best_rank = rank
-            best_index = index
-    if best_rank[1] == 0:
-        sizes = [len(cluster) for cluster in senses.clusters]
-        best_index = sizes.index(max(sizes))
-    return senses.label(best_index)
+    vocabularies = [set(cluster) for cluster in senses.clusters]
+    overlaps = [len(context & vocabulary) for vocabulary in vocabularies]
+    if any(overlaps):
+        ranks = [(raw / len(vocabulary), raw) for raw, vocabulary in zip(overlaps, vocabularies)]
+    else:
+        ranks = [len(cluster) for cluster in senses.clusters]
+    # index() takes the first of equal ranks: the lowest sense index.
+    return senses.label(ranks.index(max(ranks)))
 
 
 @dataclass(frozen=True)
@@ -275,15 +270,11 @@ def run_opn(
     induced = map_ordered(lambda t: induce_senses(embeddings, t, config.n, backends[t]), targets)
     senses = dict(zip(targets, induced))
 
-    by_target: dict[str, list[Instance]] = {t: [] for t in targets}
-    for instance in instances:
-        by_target[instance.target].append(instance)
-
-    rows: list[tuple[str, str, str]] = []
-    for t in targets:
-        for instance in sorted(by_target[t], key=lambda inst: inst.id):
-            rows.append((t, instance.id, assign_instance(instance, senses[t])))
-    return OpnResult(key=SenseKey(rows=tuple(rows)), senses=senses)
+    rows = tuple(
+        (instance.target, instance.id, assign_instance(instance, senses[instance.target]))
+        for instance in sorted(instances, key=lambda inst: (inst.target, inst.id))
+    )
+    return OpnResult(key=SenseKey(rows=rows), senses=senses)
 
 
 def load_instances(path) -> list[Instance]:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +12,12 @@ import pytest
 from conftest import save_vec_file
 import topolysemy
 from topolysemy import (
+    DbscanConfig,
     EmbeddingSet,
+    KmeansConfig,
+    OpnConfig,
+    dbscan,
+    kmeans,
     load_key,
     planted_two_sense_dataset,
     save_tps_csv,
@@ -21,7 +27,7 @@ from topolysemy import (
 from topolysemy.synthetic import random_embedding
 from topolysemy.tps import TpsReport
 from topolysemy.wsi import SenseKey
-from topolysemy.cli import main
+from topolysemy.cli import build_parser, main, opn_config
 
 
 @pytest.fixture()
@@ -294,6 +300,28 @@ class TestWsiCommand:
         assert rc == 1
         assert "instances file not found" in capsys.readouterr().err
 
+    def test_empty_instances_file(self, planted_files, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "x.key"
+        rc = main(["wsi", "--vectors", str(planted_files["vectors"]), "--instances", str(empty), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no instances in {empty}\n"
+        assert not out.exists()
+
+    def test_defaults_are_the_configs(self):
+        argv = ["wsi", "--vectors", "v.vec", "--instances", "i.jsonl", "--out", "o.key"]
+        assert opn_config(build_parser().parse_args(argv)) == OpnConfig()
+        kmeans_args = build_parser().parse_args([*argv, "--backend", "kmeans"])
+        assert opn_config(kmeans_args) == OpnConfig(backend=KmeansConfig())
+
+
+def test_backend_configs_default_to_the_backend_signatures():
+    dbscan_defaults = inspect.signature(dbscan).parameters
+    assert DbscanConfig().eps == dbscan_defaults["eps"].default
+    assert DbscanConfig().min_pts == dbscan_defaults["min_pts"].default
+    assert KmeansConfig().seed == inspect.signature(kmeans).parameters["seed"].default
+
 
 class TestZeroVectors:
     """Zero vectors have no direction: dropped on load, listed in a warning."""
@@ -361,10 +389,18 @@ class TestShortClouds:
 
     def run_tps(self, tmp_path, rows, n):
         vectors = tmp_path / "short.vec"
-        vectors.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        vectors.write_text(f"{len(rows)} 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "scores.csv"
         rc = main(["tps", "--vectors", str(vectors), "--all", "--n", str(n), "--out", str(out)])
         return rc, out
+
+    def test_words_holding_non_ascii_whitespace_are_scored(self, tmp_path, capsys):
+        rows = ["10\u00a0000 1 0", "\u3000x 0 1", "x 1 1", "y -1 1"]
+        rc, out = self.run_tps(tmp_path, rows, n=2)
+        assert rc == 0, capsys.readouterr().err
+        with open(out, encoding="utf-8", newline="") as handle:
+            written = [row[0] for row in csv.reader(handle)][1:]
+        assert written == ["10\u00a0000", "\u3000x", "x", "y"]
 
     def test_all_coincident_words_score_zero(self, tmp_path, capsys):
         rc, out = self.run_tps(tmp_path, ["a 1 0", "b 2 0", "c 3 0"], n=2)

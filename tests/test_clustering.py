@@ -14,6 +14,7 @@ from topolysemy.clustering import (
     NOISE,
     Clustering,
     _float32_margin,
+    _squared_distances,
     _within_eps_graph,
     farthest_first_centers,
 )
@@ -275,6 +276,58 @@ class TestKmeans:
         result = kmeans(points, 3)
         assert result.converged
         assert 1 <= result.n_iter <= 100
+
+
+def reference_kmeans(points, k, seed):
+    """kmeans with its empty-cluster repair as a loop of argmax picks."""
+    centers = farthest_first_centers(points, k, np.random.default_rng(seed))
+    point_sq = (points * points).sum(axis=1)
+    labels = np.full(points.shape[0], NOISE)
+    for n_iter in range(1, 101):
+        sq = _squared_distances(points, point_sq, centers)
+        step = sq.argmin(axis=1)
+        counts = np.bincount(step, minlength=k)
+        contributions = sq[np.arange(points.shape[0]), step]
+        for empty in np.flatnonzero(counts == 0):
+            pick = int(np.argmax(contributions))
+            step[pick] = empty
+            contributions[pick] = -1.0
+        for c in range(k):
+            centers[c] = points[step == c].mean(axis=0)
+        converged = np.array_equal(step, labels)
+        labels = step
+        if converged:
+            break
+    return labels, centers, n_iter, converged
+
+
+@st.composite
+def grid_clouds(draw):
+    """(points, k, seed) on a 3x3 integer grid.
+
+    Points coincide often, so farthest-first repeats centers, clusters start
+    empty, and the repair picks among tied contributions (often all zero).
+    """
+    cells = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=2, max_size=10))
+    points = np.array(cells, dtype=np.float64)
+    return points, draw(st.integers(2, len(cells))), draw(st.integers(0, 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # means of clusters the repair emptied
+@given(grid_clouds())
+def test_kmeans_repair_matches_the_argmax_loop(case):
+    points, k, seed = case
+    labels, centers, n_iter, converged = reference_kmeans(points, k, seed)
+    if np.unique(labels).size < k:
+        # Both repairs can move a singleton cluster's point and leave that
+        # cluster empty at the last step; kmeans then rejects its labels.
+        with pytest.raises(ValueError, match="have no members"):
+            kmeans(points, k, seed=seed)
+        return
+    result = kmeans(points, k, seed=seed)
+    assert result.clustering.labels.tolist() == labels.tolist()
+    assert result.centers.tobytes() == centers.tobytes()
+    assert (result.n_iter, result.converged) == (n_iter, converged)
 
 
 class TestFarthestFirst:

@@ -31,6 +31,28 @@ def write(path, text):
 
 
 class TestLoadVecFile:
+    def test_words_may_hold_non_ascii_whitespace(self, tmp_path):
+        # Fields split on ASCII whitespace only, as fastText writes them, so
+        # these four words stay distinct.
+        text = "4 2\n10\u00a0000 0 1\n\u3000x 1 0\nx 1 1\nx\u3000 2 1\n"
+        emb = load_vec_file(write(tmp_path / "v.vec", text))
+        assert emb.words == ("10\u00a0000", "\u3000x", "x", "x\u3000")
+        assert emb.vectors.tolist() == [[0, 1], [1, 0], [1, 1], [2, 1]]
+
+    # 10^11 x 300 float64 is 218 TiB, past the 128 TiB x86-64 user address
+    # space, so the allocation fails without touching memory; 10^18 x 300
+    # overflows numpy's size.
+    @pytest.mark.parametrize("declared", [10**11, 10**18])
+    def test_header_too_large_to_allocate(self, tmp_path, declared):
+        path = write(tmp_path / "v.vec", f"{declared} 300\n")
+        size = f"{declared * 300 * 8:,}"
+        with pytest.raises(ParseError) as raised:
+            load_vec_file(path)
+        assert str(raised.value) == (
+            f"{path}:1: header N={declared} d=300 needs {size} bytes of float64, "
+            "more than can be allocated"
+        )
+
     def test_two_rows(self, tmp_path):
         path = write(tmp_path / "v.vec", "2 3\na 1 0 0\nb 0 1 0\n")
         emb = load_vec_file(path)
@@ -291,6 +313,29 @@ def test_load_unit_vectors_drops_zero_rows_in_file_order(tmp_path):
     assert emb.words == ("a", "b")
     assert emb.normalized
     assert np.array_equal(emb.vectors, [[0.6, 0.8], [0.0, 1.0]])
+
+
+def reference_tokenize(text):
+    """tokenize as per-character loops that strip each whitespace-split token."""
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        if end > start:
+            yield raw[start:end]
+
+
+# Underscore, non-ASCII spaces, a dotted capital I and a capital sharp s that
+# lowercase to other lengths, a combining mark, and digits and numerals that
+# are alphanumeric without being ASCII.
+TOKEN_EDGES = "_\u00a0\u0085\u3000\u0130\u1e9e\u0345\u0661\u00b2\u00bd\u2160"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=TOKEN_EDGES + " aZ9.-'")))
+def test_tokenize_matches_the_character_loops(text):
+    assert tokenize(text) == list(reference_tokenize(text))
 
 
 class TestTokenize:

@@ -105,6 +105,18 @@ def test_run_semeval_reports_input_errors_in_one_line(tmp_path, monkeypatch, cap
     assert err == "error: n=50 exceeds the 48 available neighbors\n"
 
 
+def test_run_semeval_rejects_an_empty_instances_file_before_writing(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    inputs = semeval_inputs(tmp_path, data.embeddings, data)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    inputs[inputs.index("--instances") + 1] = str(empty)
+    outdir = tmp_path / "eval"
+    run_script("run_semeval.py", monkeypatch, *inputs, "--outdir", str(outdir), code=1)
+    assert capsys.readouterr().err == f"error: no instances in {empty}\n"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "option, expected",
     [

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from topolysemy import (
     DbscanConfig,
@@ -15,14 +16,13 @@ from topolysemy import (
     ParseError,
     assign_instance,
     induce_senses,
-    load_instances,
     load_key,
     planted_two_sense_dataset,
     run_opn,
     write_key,
 )
 from topolysemy.embeddings import l2_normalize_all
-from topolysemy.wsi import SenseClusters, SenseKey, resolve_target, target_lemma
+from topolysemy.wsi import SenseClusters, SenseKey, load_instances, resolve_target, target_lemma
 
 
 def make_senses(clusters, target="t.n", word="t"):
@@ -77,6 +77,55 @@ class TestAssignInstance:
         inst = Instance(target="t.n", id="i1", tokens=("a", "b"))
         assert assign_instance(inst, first) == "t.n.sense_0"
         assert assign_instance(inst, second) == "t.n.sense_1"
+
+
+def reference_assign_instance(instance, senses):
+    """assign_instance as a running-best loop over the senses."""
+    context = set(instance.tokens)
+    context.discard(senses.word)
+    context.discard(target_lemma(senses.target))
+    best_index = 0
+    best_rank = (-1.0, -1)
+    for index, cluster in enumerate(senses.clusters):
+        vocabulary = set(cluster)
+        raw = len(context & vocabulary)
+        rank = (raw / len(vocabulary), raw)
+        if rank > best_rank:
+            best_rank = rank
+            best_index = index
+    if best_rank[1] == 0:
+        sizes = [len(cluster) for cluster in senses.clusters]
+        best_index = sizes.index(max(sizes))
+    return senses.label(best_index)
+
+
+@st.composite
+def senses_and_contexts(draw):
+    """Few small senses over a six-word pool, so ranks tie often.
+
+    A word may repeat inside its sense (the rank divides by the distinct
+    words, the no-overlap fallback by the cluster length), and contexts may
+    miss every sense or hold the target's own forms.
+    """
+    pool = ["a", "b", "c", "d", "e", "f"]
+    owner = draw(st.lists(st.integers(-1, 3), min_size=len(pool), max_size=len(pool)))
+    clusters = []
+    for sense in range(4):
+        members = [w for w, o in zip(pool, owner) if o == sense]
+        if members:
+            repeats = draw(st.lists(st.sampled_from(members), max_size=2))
+            clusters.append(tuple(members + repeats))
+    if not clusters:
+        clusters.append(("a",))
+    contexts = st.lists(st.sampled_from([*pool, "t", "w", "zz"]), min_size=1, max_size=5)
+    return SenseClusters(target="t.n", word="w", clusters=tuple(clusters)), draw(contexts)
+
+
+@given(senses_and_contexts())
+def test_assign_instance_matches_the_running_best_loop(case):
+    senses, tokens = case
+    instance = Instance(target="t.n", id="i", tokens=tuple(tokens))
+    assert assign_instance(instance, senses) == reference_assign_instance(instance, senses)
 
 
 class TestInduceSenses:
@@ -214,6 +263,13 @@ class TestRunOpn:
         result = run_opn(data.embeddings, data.instances, OpnConfig(n=48))
         ids = [instance_id for _, instance_id, _ in result.key.rows]
         assert ids == sorted(ids)
+
+    def test_rows_sorted_by_target_before_id(self):
+        data = planted_two_sense_dataset()
+        pairs = [("pivot.n", "a"), ("b0w0", "c"), ("pivot.n", "b"), ("b0w0", "a")]
+        instances = [Instance(target=t, id=i, tokens=("b0w1",)) for t, i in pairs]
+        result = run_opn(data.embeddings, instances, OpnConfig(n=6))
+        assert [row[:2] for row in result.key.rows] == sorted(pairs)
 
 
 class TestSenseContainers:
