@@ -4,10 +4,11 @@ Inputs: a .vec embedding file, instances as JSONL (target, id, tokens), a
 gold key ("target instance_id label" lines), and optionally a gold
 sense-count TSV and a corpus-frequency TSV for the correlation checks.
 
-Steps: drop zero vectors with a warning (as the CLI does), score every
-target (--tps-n neighborhood), induce senses and label all instances,
-evaluate against the gold key, and correlate scores with gold sense counts
-and with corpus frequency.  All outputs land in --outdir.  The options are
+Steps: drop zero vectors with a warning (as the CLI does), induce senses
+and label all instances, score every target (--tps-n neighborhood; with
+--k auto these are the scores that set each target's k), evaluate against
+the gold key, and correlate scores with gold sense counts and with corpus
+frequency.  All outputs land in --outdir.  The options are
 `topolysemy wsi`'s with the same defaults and checks, so bad values and
 missing input files are rejected before the vectors load, and an empty
 instances file before anything is written.  An input error is one
@@ -64,7 +65,9 @@ def evaluate(args: argparse.Namespace) -> int:
     targets = sorted({inst.target for inst in instances})
     resolved = resolve_targets(embeddings, targets)
 
-    reports = tps_batch(embeddings, [resolved[t] for t in targets], n=args.tps_n)
+    result = run_opn(embeddings, instances, opn_config(args))
+    # Percentile k (--k auto) already scored the targets at --tps-n.
+    reports = result.reports or tps_batch(embeddings, [resolved[t] for t in targets], n=args.tps_n)
     tps_path = os.path.join(args.outdir, "tps.csv")
     save_tps_csv(reports, tps_path)
     scores = {t: r.score for t, r in zip(targets, reports)}
@@ -72,7 +75,6 @@ def evaluate(args: argparse.Namespace) -> int:
     print(f"scored {len(reports)} targets (n={args.tps_n}) -> {tps_path}")
     print(f"  score range [{table.tps_min:.3f}, {table.tps_max:.3f}]")
 
-    result = run_opn(embeddings, instances, opn_config(args))
     key_path = os.path.join(args.outdir, "system.key")
     write_key(result.key, key_path)
     print(f"labeled {len(result.key)} instances -> {key_path}")

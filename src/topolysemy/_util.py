@@ -14,7 +14,7 @@ THREADS_ENV = "TPS_THREADS"
 
 # Element budget of one row chunk of a similarity product, whatever the
 # number of rows: 4M values, 32 MB in float64 (the neighbor search) and
-# 16 MB in float32 (dbscan's eps graph).
+# 16 MB in float32 (dbscan's eps pairs).
 CHUNK_ELEMENTS = 4_000_000
 
 

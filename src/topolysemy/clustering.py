@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ._util import chunk_rows
@@ -63,7 +63,7 @@ class Clustering:
         return np.flatnonzero(self.labels == cluster_id)
 
 
-# The eps graph filters pairs by a float32 product, then decides those near
+# _eps_pairs filters pairs by a float32 product, then decides those near
 # the cut exactly.  Let u = 2^-24, the float32 unit roundoff, and let a, b be
 # rows of R^d within _UNIT_TOL of unit length, so that |a|.|b| (coordinates
 # taken in absolute value) is at most (1 + _UNIT_TOL)^2.  Casting to float32
@@ -99,14 +99,13 @@ def _exact_within(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: f
     return within
 
 
-def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
-    """Boolean adjacency of point pairs with cosine distance <= eps.
+def _eps_pairs(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Int32 index pairs (rows[i], cols[i]), rows < cols, within cosine distance eps.
 
-    Includes the diagonal (each unit point is within eps of itself).  Each
-    chunk of chunk_rows(n) rows is multiplied in float32 with the rows at
-    and after it only.  Pairs more than _float32_margin above the cut are
-    edges and pairs below it are not; _exact_within decides the rest.  The
-    upper triangle is then mirrored, so the graph is symmetric and every
+    Pairs come in (row, col) order, each once and without the diagonal.
+    Each chunk of chunk_rows(n) rows is multiplied in float32 with the rows
+    at and after it only.  Pairs more than _float32_margin above the cut are
+    in and pairs below it are out; _exact_within decides the rest, so every
     pair's decision depends only on its two rows, not on the chunk size.
     """
     n, dim = points.shape
@@ -126,21 +125,14 @@ def _within_eps_graph(points: np.ndarray, eps: float) -> csr_matrix:
         similarities = np.matmul(single[start:stop], single[start:].T, out=out)
         flat = np.flatnonzero(similarities >= floor)
         rows, cols = np.divmod(flat, width)
-        upper = cols >= rows
+        upper = cols > rows
         flat, rows, cols = flat[upper], rows[upper] + start, cols[upper] + start
         keep = similarities.ravel()[flat] >= sure
         near = ~keep
         keep[near] = _exact_within(points, rows[near], cols[near], eps)
-        row_parts.append(rows[keep])
-        col_parts.append(cols[keep])
-    # Chunks come in row order and each chunk's pairs in (row, col) order.
-    cols = np.concatenate(col_parts)
-    indptr = np.searchsorted(np.concatenate(row_parts), np.arange(n + 1))
-    upper = csr_matrix((np.ones(cols.shape[0], dtype=np.int8), cols, indptr), shape=(n, n))
-    graph = (upper + upper.T).tocsr()
-    graph.data[:] = 1  # the mirror counted the diagonal twice
-    graph.sort_indices()
-    return graph
+        row_parts.append(rows[keep].astype(np.int32))
+        col_parts.append(cols[keep].astype(np.int32))
+    return np.concatenate(row_parts), np.concatenate(col_parts)
 
 
 def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clustering:
@@ -166,31 +158,29 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     if np.abs(norms - 1.0).max() > _UNIT_TOL:
         raise ValueError("dbscan expects unit-norm rows (cosine distance)")
 
-    graph = _within_eps_graph(points, eps)
-    neighbor_counts = np.diff(graph.indptr)
-    core = neighbor_counts >= min_pts
+    rows, cols = _eps_pairs(points, eps)
+    core = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n) >= min_pts
     core_idx = np.flatnonzero(core)
 
     labels = np.full(n, NOISE, dtype=np.int64)
     if core_idx.size == 0:
         return Clustering(labels=labels, n_clusters=0)
 
-    core_graph = graph[core_idx][:, core_idx]
+    # Non-core points are singletons here; only the core points' ids are read.
+    row_core, col_core = core[rows], core[cols]
+    both = row_core & col_core
+    core_graph = coo_matrix((np.ones(both.sum(), dtype=np.int8), (rows[both], cols[both])), shape=(n, n))
     _, raw_comp = connected_components(core_graph, directed=False)
     # Contiguous ids ordered by each component's smallest core index.
-    _, first, inverse = np.unique(raw_comp, return_index=True, return_inverse=True)
-    core_labels = np.argsort(np.argsort(first))[inverse]
-    labels[core_idx] = core_labels
+    _, first, inverse = np.unique(raw_comp[core_idx], return_index=True, return_inverse=True)
+    labels[core_idx] = np.argsort(np.argsort(first))[inverse]
 
-    border_idx = np.flatnonzero(~core)
-    if border_idx.size:
-        reach = graph[border_idx][:, core_idx]
-        reach.sort_indices()
-        starts, ends = reach.indptr[:-1], reach.indptr[1:]
-        has_core = ends > starts
-        # Sorted indices put the lowest-index core first in each row.
-        first_core = reach.indices[starts[has_core]]
-        labels[border_idx[has_core]] = core_labels[first_core]
+    # Each core/non-core pair offers its core to the non-core point.
+    mixed = row_core != col_core
+    first_core = np.full(n, n, dtype=np.int32)
+    np.minimum.at(first_core, np.where(row_core, cols, rows)[mixed], np.where(row_core, rows, cols)[mixed])
+    reached = np.flatnonzero(first_core < n)
+    labels[reached] = labels[first_core[reached]]
 
     return Clustering(labels=labels, n_clusters=first.size)
 
@@ -233,10 +223,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
     """Euclidean Lloyd k-means with seeded farthest-first initialization.
 
     Each step assigns points to their nearest center (ties to the lowest
-    center id), repairs any emptied cluster by moving the point currently
-    farthest from its own center into it, then recomputes means.  Stops at
-    the label fixpoint or after max_iter steps.  Deterministic for a fixed
-    seed; every cluster id 0..k-1 ends up non-empty.
+    center id); each emptied cluster, in id order, then takes the point
+    farthest from its own center (ties to the lowest index) among clusters
+    that keep another member, and the means are recomputed.  Stops at the
+    label fixpoint or after max_iter steps; deterministic for a fixed seed.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -253,9 +243,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
         step = sq.argmin(axis=1)
         empty = np.flatnonzero(np.bincount(step, minlength=k) == 0)
         if empty.size:
-            # Farthest points first, ties to the lowest point index.
+            # Farthest first, ties to the lowest index; each cluster keeps its last-ranked member.
             contributions = sq[np.arange(points.shape[0]), step]
-            step[np.argsort(-contributions, kind="stable")[: empty.size]] = empty
+            order = np.argsort(-contributions, kind="stable")
+            _, kept = np.unique(step[order][::-1], return_index=True)
+            step[np.delete(order, order.size - 1 - kept)[: empty.size]] = empty
         for c in range(k):
             centers[c] = points[step == c].mean(axis=0)
         converged = np.array_equal(step, labels)

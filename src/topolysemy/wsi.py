@@ -18,7 +18,7 @@ from ._util import ParseError, atomic_write_text, map_ordered
 from .clustering import NOISE, dbscan, kmeans
 from .embeddings import EmbeddingSet, l2_normalize_all
 from .neighborhood import punctured_neighborhood
-from .tps import PercentileTable, predicted_k, tps_batch
+from .tps import PercentileTable, TpsReport, predicted_k, tps_batch
 
 logger = logging.getLogger("topolysemy")
 
@@ -72,26 +72,28 @@ class SenseClusters:
     ``clusters`` holds the member words of each sense in neighborhood
     order; clusters are pairwise disjoint.  ``noise`` lists neighborhood
     words left out of every sense.  ``word`` is the vocabulary entry the
-    target resolved to.
+    target resolved to.  ``vocabularies`` holds each cluster's word set.
     """
 
     target: str
     word: str
     clusters: tuple[tuple[str, ...], ...]
     noise: tuple[str, ...] = ()
+    vocabularies: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.clusters:
             raise ValueError(f"target {self.target!r} needs at least one sense cluster")
+        vocabularies = tuple(frozenset(cluster) for cluster in self.clusters)
         seen: set[str] = set()
-        for cluster in self.clusters:
-            if len(cluster) == 0:
+        for members in vocabularies:
+            if not members:
                 raise ValueError(f"target {self.target!r} has an empty sense cluster")
-            members = set(cluster)
             if seen & members:
                 raise ValueError(f"target {self.target!r} has overlapping sense clusters")
             seen |= members
         object.__setattr__(self, "clusters", tuple(tuple(c) for c in self.clusters))
+        object.__setattr__(self, "vocabularies", vocabularies)
         object.__setattr__(self, "noise", tuple(self.noise))
 
     def __len__(self) -> int:
@@ -208,10 +210,9 @@ def assign_instance(instance: Instance, senses: SenseClusters) -> str:
     context = set(instance.tokens)
     context.discard(senses.word)
     context.discard(target_lemma(senses.target))
-    vocabularies = [set(cluster) for cluster in senses.clusters]
-    overlaps = [len(context & vocabulary) for vocabulary in vocabularies]
+    overlaps = [len(context & vocabulary) for vocabulary in senses.vocabularies]
     if any(overlaps):
-        ranks = [(raw / len(vocabulary), raw) for raw, vocabulary in zip(overlaps, vocabularies)]
+        ranks = [(raw / len(vocabulary), raw) for raw, vocabulary in zip(overlaps, senses.vocabularies)]
     else:
         ranks = [len(cluster) for cluster in senses.clusters]
     # index() takes the first of equal ranks: the lowest sense index.
@@ -220,10 +221,14 @@ def assign_instance(instance: Instance, senses: SenseClusters) -> str:
 
 @dataclass(frozen=True)
 class OpnResult:
-    """Key over all instances plus the per-target induced senses."""
+    """Key over all instances plus the per-target induced senses.
+
+    ``reports`` holds the scores that set percentile k, in target order, or is empty.
+    """
 
     key: SenseKey
     senses: dict[str, SenseClusters]
+    reports: tuple[TpsReport, ...] = ()
 
 
 def run_opn(
@@ -249,9 +254,10 @@ def run_opn(
 
     backend = config.backend
     backends: dict[str, DbscanConfig | KmeansConfig] = {t: backend for t in targets}
+    reports: tuple[TpsReport, ...] = ()
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
         try:
-            reports = tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n)
+            reports = tuple(tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n))
             table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
             for t in targets:
                 backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
@@ -274,7 +280,7 @@ def run_opn(
         (instance.target, instance.id, assign_instance(instance, senses[instance.target]))
         for instance in sorted(instances, key=lambda inst: (inst.target, inst.id))
     )
-    return OpnResult(key=SenseKey(rows=rows), senses=senses)
+    return OpnResult(key=SenseKey(rows=rows), senses=senses, reports=reports)
 
 
 def load_instances(path) -> list[Instance]:

@@ -1,6 +1,7 @@
 """Clustering backends: dbscan in cosine distance and seeded Lloyd k-means."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from topolysemy.clustering import (
     _UNIT_TOL,
     NOISE,
     Clustering,
+    _eps_pairs,
     _float32_margin,
     _squared_distances,
-    _within_eps_graph,
     farthest_first_centers,
 )
 
@@ -60,6 +61,9 @@ class TestDbscan:
     def test_single_point_with_min_pts_one(self):
         result = dbscan(unit_circle([17.0]), eps=0.01, min_pts=1)
         assert result.labels.tolist() == [0]
+        # A row within the unit tolerance counts itself even when eps is
+        # below its exact self-distance 1 - |a|^2.
+        assert dbscan(np.array([[1 - 9e-7, 0.0]]), eps=1e-7, min_pts=1).labels.tolist() == [0]
 
     def test_ids_ordered_by_smallest_core_index(self):
         # Two interleaved pairs: indices {0, 2} sit at 90-91 degrees and
@@ -154,6 +158,19 @@ def dyadic_clouds(draw):
     return [list(UNIT[p]) for p in picks], eps, min_pts, block
 
 
+def eps_adjacency(points, eps):
+    """_eps_pairs after checking their form, mirrored and given the diagonal."""
+    n = points.shape[0]
+    rows, cols = _eps_pairs(points, eps)
+    assert rows.dtype == cols.dtype == np.int32
+    assert (rows < cols).all()
+    # Strictly increasing keys: the pairs are unique and in (i, j) order.
+    assert (np.diff(rows.astype(np.int64) * n + cols) > 0).all()
+    adjacency = np.eye(n, dtype=np.int8)
+    adjacency[rows, cols] = adjacency[cols, rows] = 1
+    return adjacency
+
+
 @given(dyadic_clouds())
 def test_dbscan_matches_plain_python_reference(case):
     rows, eps, min_pts, block = case
@@ -161,10 +178,9 @@ def test_dbscan_matches_plain_python_reference(case):
     points = np.array(rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
-        graph = _within_eps_graph(points, eps)
+        found = eps_adjacency(points, eps)
         result = dbscan(points, eps=eps, min_pts=min_pts)
-    assert (graph != graph.T).nnz == 0
-    assert np.array_equal(graph.toarray(), adjacency)
+    assert np.array_equal(found, adjacency)
     assert result.labels.tolist() == labels
     assert result.n_clusters == n_clusters
 
@@ -190,9 +206,16 @@ def test_pairs_planted_on_the_cut_are_decided_exactly(rng, dim):
         for block in (1, 3, 40):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_util, "CHUNK_ELEMENTS", block * 40)
-                graph = _within_eps_graph(points, eps)
-            assert graph[i, 20 + i] == (eps == on_cut)
-            assert np.array_equal(graph.toarray(), expected)
+                found = eps_adjacency(points, eps)
+            assert found[i, 20 + i] == (eps == on_cut)
+            assert np.array_equal(found, expected)
+
+
+def test_identical_rows_give_every_pair_once(rng):
+    points = np.repeat(random_unit_rows(rng, 1, 5), 300, axis=0)
+    rows, cols = _eps_pairs(points, 0.09)
+    assert rows.size == 300 * 299 // 2
+    assert dbscan(points).labels.tolist() == [0] * 300
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 100, 300])
@@ -267,6 +290,21 @@ class TestKmeans:
             result = kmeans(points, 3, seed=seed)
             assert set(result.clustering.labels.tolist()) == {0, 1, 2}
 
+    @pytest.mark.parametrize(
+        "points, k, seed",
+        [
+            ([[0, 1], [0, 0], [0, 0], [0, 0], [0, -1], [0, -1]], 4, 0),
+            ([[1, 0], [0, 1], [0, 1]], 3, 0),
+        ],
+    )
+    def test_repair_never_empties_another_cluster(self, points, k, seed):
+        # A repair that took a singleton's only point left that cluster empty.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans(np.array(points, dtype=np.float64), k, seed=seed)
+        assert result.converged
+        assert set(result.clustering.labels.tolist()) == set(range(k))
+
     def test_max_iter_must_be_positive(self, rng):
         with pytest.raises(ValueError, match="max_iter"):
             kmeans(rng.standard_normal((6, 2)), 2, max_iter=0)
@@ -279,7 +317,7 @@ class TestKmeans:
 
 
 def reference_kmeans(points, k, seed):
-    """kmeans with its empty-cluster repair as a loop of argmax picks."""
+    """kmeans with its empty-cluster repair as a loop of argmax picks over donor clusters."""
     centers = farthest_first_centers(points, k, np.random.default_rng(seed))
     point_sq = (points * points).sum(axis=1)
     labels = np.full(points.shape[0], NOISE)
@@ -289,9 +327,11 @@ def reference_kmeans(points, k, seed):
         counts = np.bincount(step, minlength=k)
         contributions = sq[np.arange(points.shape[0]), step]
         for empty in np.flatnonzero(counts == 0):
-            pick = int(np.argmax(contributions))
+            # Only clusters that keep another member give a point.
+            pick = int(np.argmax(np.where(counts[step] > 1, contributions, -np.inf)))
+            counts[step[pick]] -= 1
+            counts[empty] = 1
             step[pick] = empty
-            contributions[pick] = -1.0
         for c in range(k):
             centers[c] = points[step == c].mean(axis=0)
         converged = np.array_equal(step, labels)
@@ -313,17 +353,10 @@ def grid_clouds(draw):
     return points, draw(st.integers(2, len(cells))), draw(st.integers(0, 3))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # means of clusters the repair emptied
 @given(grid_clouds())
 def test_kmeans_repair_matches_the_argmax_loop(case):
     points, k, seed = case
     labels, centers, n_iter, converged = reference_kmeans(points, k, seed)
-    if np.unique(labels).size < k:
-        # Both repairs can move a singleton cluster's point and leave that
-        # cluster empty at the last step; kmeans then rejects its labels.
-        with pytest.raises(ValueError, match="have no members"):
-            kmeans(points, k, seed=seed)
-        return
     result = kmeans(points, k, seed=seed)
     assert result.clustering.labels.tolist() == labels.tolist()
     assert result.centers.tobytes() == centers.tobytes()

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, which import the package's public names."""
 
+import dataclasses
 import glob
 import json
 import os
@@ -12,8 +13,9 @@ import pytest
 
 import topolysemy
 from conftest import save_vec_file
-from topolysemy import EmbeddingSet, planted_two_sense_dataset, write_key
+from topolysemy import EmbeddingSet, Instance, planted_two_sense_dataset, write_key
 from topolysemy.cli import build_parser
+from topolysemy.wsi import SenseKey
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -89,6 +91,38 @@ def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "warning: skipping 1 zero vectors: blank" in captured.err
     assert "pooled: V=1.0000 F=1.0000" in captured.out
+    assert sorted(os.listdir(outdir)) == ["scores.csv", "system.key", "tps.csv"]
+
+
+def test_run_semeval_auto_k_scores_each_target_once(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    words = ["b0w0", "b0w5", "b1w3", "b1w7"]
+    planted = dataclasses.replace(
+        data,
+        instances=data.instances + tuple(Instance(target=w, id="x", tokens=("pivot",)) for w in words),
+        gold=SenseKey(rows=data.gold.rows + tuple((w, "x", "g") for w in words)),
+    )
+    calls = []
+
+    def counted(real):
+        def tps_batch(embeddings, targets, n, **kwargs):
+            calls.append((list(targets), n))
+            return real(embeddings, targets, n, **kwargs)
+
+        return tps_batch
+
+    # Both bindings: the one the script imports and the one run_opn calls.
+    monkeypatch.setattr(topolysemy, "tps_batch", counted(topolysemy.tps_batch))
+    monkeypatch.setattr(topolysemy.wsi, "tps_batch", counted(topolysemy.wsi.tps_batch))
+    outdir = tmp_path / "eval"
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, planted.embeddings, planted),
+        "--outdir", str(outdir),
+        "--backend", "kmeans", "--k", "auto", "--n", "20", "--tps-n", "10",
+    )
+    assert calls == [([*words, "pivot"], 10)]
+    assert "scored 5 targets (n=10)" in capsys.readouterr().out
     assert sorted(os.listdir(outdir)) == ["scores.csv", "system.key", "tps.csv"]
 
 
