@@ -1,11 +1,13 @@
-"""Shared plumbing: parse errors, atomic file writes, worker pool and chunk sizing."""
+"""Shared plumbing: parse errors, atomic file and CSV writes, worker pool and chunk sizing."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -62,6 +64,10 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="-" + os.path.basename(path))
     try:
+        # open(path, "w")'s mode, not mkstemp's 0o600; the umask can only be read by setting it.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
             handle.flush()
@@ -73,3 +79,12 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as "\n"-terminated CSV through atomic_write_text."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buffer.getvalue())

@@ -16,17 +16,15 @@ loaders and run.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
 from typing import Callable, Sequence
 
-from ._util import ParseError, atomic_write_text
+from ._util import ParseError, atomic_write_csv
 from .embeddings import EmbeddingSet, load_count_table, load_unit_vectors
 from .metrics import pearson_with_p, save_score_report, score_keys
-from .tps import load_tps_csv, save_tps_csv, tps_batch
+from .tps import TPS_CSV_PRECISION, load_tps_csv, save_tps_csv, tps_batch
 from .wsi import (
     DbscanConfig,
     Instance,
@@ -258,11 +256,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"({len(reports)} scored words, {len(counts)} counted words)"
         )
     result = pearson_with_p([s for _, s, _ in joined], [c for _, _, c in joined])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "tps", "count"])
-    writer.writerows((word, f"{score:.6f}", count) for word, score, count in joined)
-    atomic_write_text(args.out, buffer.getvalue())
+    rows = ((word, TPS_CSV_PRECISION % score, count) for word, score, count in joined)
+    atomic_write_csv(args.out, ["word", "tps", "count"], rows)
     print(f"r={result.r:.6f} p={result.p_value:.6g} n={result.n}")
     print(f"wrote {len(joined)} rows to {args.out}")
     return 0

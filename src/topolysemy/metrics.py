@@ -10,8 +10,6 @@ namespaced per target, so pairs form only within a target) and "weighted"
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ from typing import Hashable, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from ._util import atomic_write_text
+from ._util import atomic_write_csv
 from .wsi import SenseKey
 
 SCORE_PRECISION = "%.6f"
@@ -247,11 +245,8 @@ def score_keys(system: SenseKey, gold: SenseKey) -> ScoreReport:
 def save_score_report(report: ScoreReport, path) -> None:
     """CSV with one row per target plus the two aggregate rows."""
     columns = (*SCORE_FIELDS, "product")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["target", "instances", *columns])
-    for row in (*report.per_target, report.pooled, report.weighted):
-        writer.writerow(
-            [row.target, str(row.instances), *(SCORE_PRECISION % getattr(row, name) for name in columns)]
-        )
-    atomic_write_text(path, buffer.getvalue())
+    rows = (
+        [row.target, str(row.instances), *(SCORE_PRECISION % getattr(row, name) for name in columns)]
+        for row in (*report.per_target, report.pooled, report.weighted)
+    )
+    atomic_write_csv(path, ["target", "instances", *columns], rows)

@@ -62,32 +62,23 @@ class NeighborhoodCloud:
 
 def punctured_neighborhoods(
     embeddings: EmbeddingSet, words: Sequence[str], n: int, project: bool = False
-) -> list[NeighborhoodCloud]:
-    """The n nearest neighbors of each word by cosine similarity, excluding it.
+) -> Iterator[NeighborhoodCloud]:
+    """The n nearest neighbors of each word by cosine similarity, excluding it, one cloud at a time.
 
-    Requires unit-norm embeddings so the dot product is the cosine, and
-    n at most the vocabulary size minus one.  Neighbors rank by an exact
-    dot product computed row by row, so the result does not depend on
-    which words share a block; equal similarities keep ascending
-    vocabulary order.  Blocks of chunk_rows(len(embeddings)) words share
-    one product with the vocabulary, about 32 MB whatever their number.
+    Checks before it returns that the embeddings are unit-norm (so the dot
+    product is the cosine), that n is at most the vocabulary size minus one
+    and that every word is known.  Neighbors rank by an exact dot product
+    computed row by row, so the result does not depend on which words
+    share a block; equal similarities keep ascending vocabulary order.
+    Blocks of chunk_rows(len(embeddings)) words share one product with the
+    vocabulary, about 32 MB: a caller done with each cloud before the next
+    holds one product and one cloud, whatever the number of words.
 
     With ``project``, each neighbor v becomes (v - w) / ||v - w|| for the
     center vector w.  Neighbors within COINCIDENT_EPS of w cannot be
     projected: they are listed in ``skipped`` and the next-nearest
     candidates take their place, so the cloud has fewer than n points only
     when the vocabulary runs out.
-    """
-    return list(iter_punctured_neighborhoods(embeddings, words, n, project))
-
-
-def iter_punctured_neighborhoods(
-    embeddings: EmbeddingSet, words: Sequence[str], n: int, project: bool = False
-) -> Iterator[NeighborhoodCloud]:
-    """punctured_neighborhoods one cloud at a time; arguments are checked as iteration starts.
-
-    A caller that is done with each cloud before the next holds one
-    block's similarities and one cloud, not all of a block's clouds.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -96,20 +87,32 @@ def iter_punctured_neighborhoods(
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
     rows = [embeddings.row(word) for word in words]
-    vectors = embeddings.vectors
     block = chunk_rows(len(embeddings))
-    for start in range(0, len(rows), block):
-        block_rows = rows[start : start + block]
-        similarities = vectors[block_rows] @ vectors.T
-        for row, row_similarities in zip(block_rows, similarities):
-            yield _cloud(embeddings, row, row_similarities, n, project)
+    return (
+        cloud
+        for start in range(0, len(rows), block)
+        for cloud in _block_clouds(embeddings, rows[start : start + block], n, project)
+    )
 
 
 def punctured_neighborhood(
     embeddings: EmbeddingSet, word: str, n: int, project: bool = False
 ) -> NeighborhoodCloud:
     """One word's punctured_neighborhoods cloud."""
-    return punctured_neighborhoods(embeddings, [word], n, project)[0]
+    return next(punctured_neighborhoods(embeddings, [word], n, project))
+
+
+def _block_clouds(
+    embeddings: EmbeddingSet, rows: list[int], n: int, project: bool
+) -> Iterator[NeighborhoodCloud]:
+    """Clouds of one block of center rows, from one product with the vocabulary.
+
+    The product lives in this generator's frame, so it is freed when the
+    block is done and before the next block's product is made.
+    """
+    vectors = embeddings.vectors
+    for row, similarities in zip(rows, vectors[rows] @ vectors.T):
+        yield _cloud(embeddings, row, similarities, n, project)
 
 
 def _ranked(vectors: np.ndarray, similarities: np.ndarray, center_row: int, k: int) -> np.ndarray:

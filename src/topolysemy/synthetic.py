@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, l2_normalize_all
 from .wsi import Instance, SenseKey
 
 
@@ -35,7 +35,7 @@ def pinched_neighborhood_embedding(
     sphere projection maps the caps to a uniformly scaled copy of the
     tangent cloud.
 
-    Returns the embedding and the center word.
+    Returns the L2-normalized embedding and the center word.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -57,10 +57,7 @@ def pinched_neighborhood_embedding(
             tangent /= np.linalg.norm(tangent)
             vectors.append((center + offset * tangent) * scale)
             words.append(f"cap{cap}_{i}")
-    return (
-        EmbeddingSet(words=tuple(words), vectors=np.array(vectors), normalized=False),
-        "center",
-    )
+    return l2_normalize_all(EmbeddingSet(words=tuple(words), vectors=np.array(vectors))), "center"
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,8 @@ def planted_two_sense_dataset(
     normalized midpoint, and each instance's context samples words from a
     single bundle.  A sense induction run over the pivot's full
     neighborhood should recover the bundles, and the overlap rule should
-    send every instance to its own bundle's sense.
+    send every instance to its own bundle's sense.  The embedding is
+    L2-normalized.
     """
     if bundle_size < 4:
         raise ValueError(f"bundle_size must be >= 4, got {bundle_size}")
@@ -114,7 +112,7 @@ def planted_two_sense_dataset(
             words.append(word)
             vectors.append(vec)
             bundles[bundle].append(word)
-    embeddings = EmbeddingSet(words=tuple(words), vectors=np.array(vectors))
+    embeddings = l2_normalize_all(EmbeddingSet(words=tuple(words), vectors=np.array(vectors)))
 
     instances: list[Instance] = []
     gold_rows: list[tuple[str, str, str]] = []

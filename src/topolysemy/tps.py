@@ -10,14 +10,13 @@ both ends clamped so predictions always land in {2, ..., 100}.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_text, chunk_rows, map_ordered, worker_count
+from ._util import ParseError, atomic_write_csv, map_ordered, worker_count
 from .embeddings import EmbeddingSet, l2_normalize_all
-from .neighborhood import NeighborhoodCloud, iter_punctured_neighborhoods
+from .neighborhood import NeighborhoodCloud, punctured_neighborhoods
 from .persistence import degree0_diagram, wasserstein_norm
 
 TPS_CSV_PRECISION = "%.6f"
@@ -74,26 +73,22 @@ def tps_batch(
 ) -> list[TpsReport]:
     """Score many words, normalizing the embeddings once.
 
-    Words are searched in blocks of at most chunk_rows(len(embeddings)),
-    small enough that every worker gets a block.  Output order matches
-    input order, and scores do not depend on block or worker count.
+    The words are split into one share per worker.  Each share's search is
+    built, and its arguments checked, before any worker starts; the shares
+    are then scored on the pool.  Output order matches input order, and
+    scores do not depend on block or worker count.
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
-    for word in words:
-        if word not in embeddings:
-            raise KeyError(f"word {word!r} not in vocabulary")
-    normalized = embeddings
     if workers is None:
         workers = worker_count()
-    size = max(1, min(chunk_rows(len(normalized)), math.ceil(len(words) / max(1, workers))))
-    blocks = [list(words[start : start + size]) for start in range(0, len(words), size)]
-
-    def score_block(block: list[str]) -> list[TpsReport]:
-        clouds = iter_punctured_neighborhoods(normalized, block, n, project=True)
-        return [_report(cloud, n) for cloud in clouds]
-
-    return [report for block in map_ordered(score_block, blocks, workers=workers) for report in block]
+    share = max(1, math.ceil(len(words) / max(1, workers)))
+    searches = [
+        punctured_neighborhoods(embeddings, words[start : start + share], n, project=True)
+        for start in range(0, len(words), share)
+    ]
+    scored = map_ordered(lambda clouds: [_report(cloud, n) for cloud in clouds], searches, workers=workers)
+    return [report for reports in scored for report in reports]
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,8 @@ def predicted_k(percentile: int) -> int:
 
 def save_tps_csv(reports: Sequence[TpsReport], path) -> None:
     """Write "word,n,tps" rows, scores at 6 decimal places."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "n", "tps"])
-    for report in reports:
-        writer.writerow([report.word, str(report.n), TPS_CSV_PRECISION % report.score])
-    atomic_write_text(path, buffer.getvalue())
+    rows = ([report.word, str(report.n), TPS_CSV_PRECISION % report.score] for report in reports)
+    atomic_write_csv(path, ["word", "n", "tps"], rows)
 
 
 def load_tps_csv(path) -> list[TpsReport]:

@@ -1,13 +1,14 @@
 """Punctured neighborhoods: ranking, ties, projection, coincident handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topolysemy import EmbeddingSet, _util, punctured_neighborhood, punctured_neighborhoods
+from topolysemy import EmbeddingSet, _util, neighborhood, punctured_neighborhood, punctured_neighborhoods
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.neighborhood import COINCIDENT_EPS, NeighborhoodCloud
 
@@ -209,8 +210,9 @@ def test_batched_search_matches_plain_python_reference(case):
     emb = embedding(words, rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
-        clouds = punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project)
+        clouds = list(punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project))
     assert [cloud.center for cloud in clouds] == [words[q] for q in queries]
+    assert len(clouds) == len(queries)
     for center, cloud in zip(queries, clouds):
         kept, points, skipped = reference_neighborhood(rows, center, n, project)
         assert cloud.words == tuple(words[r] for r in kept)
@@ -238,7 +240,60 @@ def test_coincident_copies_past_n_widen_the_search():
 
 def test_empty_query_list():
     emb = embedding(["w", "a"], [[1, 0], [0, 1]])
-    assert punctured_neighborhoods(emb, [], 1) == []
+    assert list(punctured_neighborhoods(emb, [], 1)) == []
+
+
+def test_clouds_are_built_one_at_a_time(monkeypatch):
+    rows = np.random.default_rng(0).standard_normal((30, 4))
+    words = [f"w{i}" for i in range(30)]
+    emb = embedding(words, rows)
+    built = []
+    cloud = neighborhood._cloud
+
+    def counted(embeddings, center_row, *rest):
+        built.append(center_row)
+        return cloud(embeddings, center_row, *rest)
+
+    monkeypatch.setattr(neighborhood, "_cloud", counted)
+    first = next(punctured_neighborhoods(emb, words, 5, project=True))
+    assert first.center == "w0"
+    assert built == [0]
+
+
+def test_one_block_product_is_alive_at_a_time(monkeypatch):
+    rows = np.random.default_rng(0).standard_normal((20_000, 4))
+    emb = embedding([f"w{i}" for i in range(len(rows))], rows)
+    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 10 * len(emb))
+    product_bytes = 10 * len(emb) * 8
+    tracemalloc.start()
+    try:
+        for _ in punctured_neighborhoods(emb, emb.words[:40], 5, project=True):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product_bytes <= peak < 1.5 * product_bytes
+
+
+class TestUpFrontChecks:
+    """punctured_neighborhoods raises before it returns, not when iterated."""
+
+    def test_bad_n(self):
+        emb = embedding(["w", "a"], [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            punctured_neighborhoods(emb, ["w"], 0)
+        with pytest.raises(ValueError, match="exceeds"):
+            punctured_neighborhoods(emb, ["w"], 2)
+
+    def test_raw_set(self):
+        emb = EmbeddingSet(words=("w", "a"), vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="normalized"):
+            punctured_neighborhoods(emb, ["w"], 1)
+
+    def test_unknown_word_after_known_ones(self):
+        emb = embedding(["w", "a"], [[1, 0], [0, 1]])
+        with pytest.raises(KeyError, match="ghost"):
+            punctured_neighborhoods(emb, ["w", "a", "ghost"], 1)
 
 
 def test_all_coincident_vocabulary_gives_an_empty_cloud():

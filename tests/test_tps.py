@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import EmbeddingSet, ParseError, PercentileTable, _util, save_tps_csv, tps_batch, tps_score
+from topolysemy import EmbeddingSet, ParseError, PercentileTable, _util, save_tps_csv, tps, tps_batch, tps_score
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.tps import TpsReport, load_tps_csv, predicted_k
 
@@ -101,6 +101,17 @@ class TestTpsBatch:
     def test_missing_word_rejected(self, small_embedding):
         with pytest.raises(KeyError):
             tps_batch(small_embedding, ["w0", "ghost"], n=5)
+
+    @pytest.mark.parametrize(
+        "words,n,error",
+        [(["w0", "w1", "w2", "ghost"], 5, KeyError), (["w0", "w1", "w2", "w3"], 40, ValueError)],
+    )
+    def test_bad_arguments_raise_before_any_scoring(self, small_embedding, monkeypatch, words, n, error):
+        scored = []
+        monkeypatch.setattr(tps, "_report", lambda cloud, n: scored.append(cloud))
+        with pytest.raises(error):
+            tps_batch(small_embedding, words, n=n, workers=2)
+        assert scored == []
 
     @pytest.mark.parametrize("block", [1, 3, 40])
     def test_blocks_and_workers_do_not_change_reports(self, rng, monkeypatch, block):

@@ -21,7 +21,6 @@ from topolysemy import (
     run_opn,
     write_key,
 )
-from topolysemy.embeddings import l2_normalize_all
 from topolysemy.wsi import SenseClusters, SenseKey, load_instances, resolve_target, target_lemma
 
 
@@ -131,7 +130,7 @@ def test_assign_instance_matches_the_running_best_loop(case):
 class TestInduceSenses:
     def test_planted_bundles_recovered_by_density_backend(self):
         data = planted_two_sense_dataset()
-        emb = l2_normalize_all(data.embeddings)
+        emb = data.embeddings
         senses = induce_senses(emb, data.target, 48, DbscanConfig())
         assert senses.word == "pivot"
         assert senses.noise == ()
@@ -150,7 +149,7 @@ class TestInduceSenses:
 
     def test_kmeans_k_one_keeps_everything(self):
         data = planted_two_sense_dataset()
-        emb = l2_normalize_all(data.embeddings)
+        emb = data.embeddings
         senses = induce_senses(emb, data.target, 10, KmeansConfig(k=1))
         assert len(senses) == 1
         assert len(senses.clusters[0]) == 10
@@ -174,15 +173,16 @@ class TestInduceSenses:
 
     def test_lemma_fallback_resolves_the_target(self):
         data = planted_two_sense_dataset()
-        emb = l2_normalize_all(data.embeddings)
+        emb = data.embeddings
         assert resolve_target(emb, "pivot.n") == "pivot"
         assert resolve_target(emb, "pivot") == "pivot"
         assert resolve_target(emb, "ghost.n") is None
 
     def test_requires_normalized_embeddings(self):
         data = planted_two_sense_dataset()
+        raw = EmbeddingSet(words=data.embeddings.words, vectors=data.embeddings.vectors)
         with pytest.raises(ValueError, match="normalized"):
-            induce_senses(data.embeddings, data.target, 5, DbscanConfig())
+            induce_senses(raw, data.target, 5, DbscanConfig())
 
 
 def test_target_lemma():
