@@ -16,6 +16,7 @@ loaders and run.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -37,6 +38,7 @@ from .wsi import (
 )
 
 _LIST_CAP = 10
+logger = logging.getLogger("topolysemy")
 
 
 def _positive_int(text: str) -> int:
@@ -148,10 +150,6 @@ def _validate_paths(args: argparse.Namespace) -> None:
             raise FileNotFoundError(f"output directory does not exist: {parent}")
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def _listing(items: Sequence[str]) -> str:
     shown = ", ".join(items[:_LIST_CAP])
     extra = f" (+{len(items) - _LIST_CAP} more)" if len(items) > _LIST_CAP else ""
@@ -159,7 +157,7 @@ def _listing(items: Sequence[str]) -> str:
 
 
 def _warn_skipping(kind: str, words: Sequence[str]) -> None:
-    _warn(f"skipping {len(words)} {kind}: {_listing(words)}")
+    logger.warning(f"skipping {len(words)} {kind}: {_listing(words)}")
 
 
 def load_vectors(path: str) -> EmbeddingSet:
@@ -187,7 +185,7 @@ def cmd_tps(args: argparse.Namespace) -> int:
             listed = [line.strip() for line in handle if line.strip()]
         requested = list(dict.fromkeys(listed))
         if len(requested) < len(listed):
-            _warn(f"skipping {len(listed) - len(requested)} repeated words")
+            logger.warning(f"skipping {len(listed) - len(requested)} repeated words")
     in_vocab = [w for w in requested if w in embeddings]
     oov = [w for w in requested if w not in embeddings]
     if oov:
@@ -198,12 +196,12 @@ def cmd_tps(args: argparse.Namespace) -> int:
     # A projected cloud falls short of n points only when the ranking ran
     # out, so its size is every other word less the skipped coincident ones.
     short = [
-        f"{r.word} (cloud of {len(embeddings) - 1 - len(r.skipped)})"
+        f"{r.word} (cloud of {size})"
         for r in reports
-        if r.bars_used < args.n - 1
+        if (size := len(embeddings) - 1 - len(r.skipped)) < args.n
     ]
     if short:
-        _warn(
+        logger.warning(
             f"{len(short)} words have fewer than n={args.n} non-coincident neighbors "
             f"and were scored on smaller clouds: {_listing(short)}"
         )
@@ -272,7 +270,13 @@ _COMMANDS = {
 
 
 def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
-    """Check the paths in args, then run command; an input error is one line and exit code 1."""
+    """Check the paths in args, then run command; an input error is one line and exit code 1.
+
+    While command runs, the topolysemy logger's warnings are "warning: ..." lines on stderr.
+    """
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger.addHandler(handler)
     try:
         _validate_paths(args)
         return command(args)
@@ -280,6 +284,8 @@ def run(command: Callable[[argparse.Namespace], int], args: argparse.Namespace) 
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 def main(argv: list[str] | None = None) -> int:

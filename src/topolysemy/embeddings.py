@@ -22,9 +22,6 @@ from ._util import ParseError, atomic_write_text, chunk_rows
 _SAFE_NORMS = (1e-150, 1e150)
 
 _COUNT_RE = re.compile(r"\d+")
-# A .vec field is a run of characters other than ASCII whitespace, as fastText
-# writes it, so a word may hold other whitespace (U+00A0, U+3000).
-_VEC_FIELD_RE = re.compile(r"[^ \t\n\r\f\v]+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
 _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
@@ -83,22 +80,24 @@ class EmbeddingSet:
 def load_vec_file(path) -> EmbeddingSet:
     """Parse a ".vec" text file into an EmbeddingSet, preserving file order.
 
-    Raises ParseError (with the offending line number) on a malformed
-    header or one too large to allocate, wrong row arity, unparseable or
-    non-finite numbers, duplicate words, or a row count that contradicts the
-    header.
+    Every line, the header included, splits on ASCII whitespace.  Words are
+    UTF-8; numbers are ASCII decimal as float() reads them.  Raises
+    ParseError (with the offending line number) on a malformed header or
+    one too large to allocate, a word that is not valid UTF-8, wrong row
+    arity, unparseable or non-finite numbers, duplicate words, or a row
+    count that contradicts the header.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         header = handle.readline()
-        if not header.strip():
-            raise ParseError(f"{path}:1: expected header 'N d', got empty line")
         parts = header.split()
+        shown = header.strip().decode("utf-8", "backslashreplace")
         if len(parts) != 2:
-            raise ParseError(f"{path}:1: expected header 'N d', got {header.strip()!r}")
+            got = repr(shown) if parts else "empty line"
+            raise ParseError(f"{path}:1: expected header 'N d', got {got}")
         try:
             declared, dim = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"{path}:1: header fields must be integers, got {header.strip()!r}") from None
+            raise ParseError(f"{path}:1: header fields must be integers, got {shown!r}") from None
         if declared < 0 or dim < 1:
             raise ParseError(f"{path}:1: header needs N >= 0 and d >= 1, got N={declared} d={dim}")
 
@@ -115,14 +114,11 @@ def load_vec_file(path) -> EmbeddingSet:
             fields = line.split()
             if not fields:
                 continue
-            # split() also splits on non-ASCII whitespace, which can cut or trim
-            # a word.  When the word is not followed by an ASCII space, the fields
-            # split on ASCII whitespace are used if their count fits.
-            if not line.startswith(fields[0] + " "):
-                ascii_fields = _VEC_FIELD_RE.findall(line)
-                if len(ascii_fields) == dim + 1:
-                    fields = ascii_fields
-            word, values = fields[0], fields[1:]
+            try:
+                word = fields[0].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{lineno}: word {fields[0]!r} is not valid UTF-8") from None
+            values = fields[1:]
             if len(values) != dim:
                 raise ParseError(
                     f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(values)}"
@@ -135,7 +131,7 @@ def load_vec_file(path) -> EmbeddingSet:
                 raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
             row = rows[len(words)]
             try:
-                # numpy casts each str with float()'s grammar.
+                # numpy casts each bytes token with float()'s grammar, ASCII only.
                 row[:] = values
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None
@@ -148,8 +144,8 @@ def load_vec_file(path) -> EmbeddingSet:
     return EmbeddingSet(words=tuple(words), vectors=rows)
 
 
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, also for rows whose squared components under- or overflow."""
+def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    """Divide each nonzero row of vectors by its L2 norm in place; return the zero rows' indices."""
     n, d = vectors.shape
     step = chunk_rows(d)
     norms = np.empty(n)
@@ -160,28 +156,27 @@ def _row_norms(vectors: np.ndarray) -> np.ndarray:
         for start in range(0, n, step):
             part = np.square(vectors[start : start + step], out=squares[: min(step, n - start)])
             np.sqrt(np.add.reduce(part, axis=1), out=norms[start : start + step])
-    # Only such rows are rescaled by their largest component first; the
-    # norms of all others are np.linalg.norm's, bit for bit.
+    # Rows whose squares under- or overflow are rescaled by their largest
+    # component first; the norms of all others are np.linalg.norm's, bit for bit.
     outside = np.flatnonzero((norms < _SAFE_NORMS[0]) | (norms > _SAFE_NORMS[1]))
     if outside.size:
         rows = vectors[outside]
         scale = np.abs(rows).max(axis=1)
         scale[scale == 0.0] = 1.0
         norms[outside] = np.linalg.norm(rows / scale[:, None], axis=1) * scale
-    return norms
+    zero = np.flatnonzero(norms == 0.0)
+    norms[zero] = 1.0
+    vectors /= norms[:, None]
+    return zero
 
 
 def l2_normalize_all(embeddings: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit L2 norm; word order is unchanged."""
-    norms = _row_norms(embeddings.vectors)
-    zero = np.flatnonzero(norms == 0.0)
+    vectors = embeddings.vectors.copy()
+    zero = _normalize_rows(vectors)
     if zero.size:
         raise ValueError(f"cannot normalize zero vector for word {embeddings.words[zero[0]]!r}")
-    return EmbeddingSet(
-        words=embeddings.words,
-        vectors=embeddings.vectors / norms[:, None],
-        normalized=True,
-    )
+    return EmbeddingSet(words=embeddings.words, vectors=vectors, normalized=True)
 
 
 def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
@@ -195,15 +190,11 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     words, vectors = embeddings.words, embeddings.vectors
     # The parsed set never leaves this function and owns its array: normalize in place.
     vectors.setflags(write=True)
-    # One norm pass serves the zero check and the division, as in
-    # l2_normalize_all.
-    norms = _row_norms(vectors)
-    zero = norms == 0.0
-    dropped = [words[i] for i in np.flatnonzero(zero)]
+    zero = _normalize_rows(vectors)
+    dropped = [words[i] for i in zero]
     if dropped:
-        keep = np.flatnonzero(~zero)
-        words, vectors, norms = tuple(words[i] for i in keep), vectors[keep], norms[keep]
-    vectors /= norms[:, None]
+        skip = set(dropped)
+        words, vectors = tuple(w for w in words if w not in skip), np.delete(vectors, zero, axis=0)
     return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ._util import ParseError, atomic_write_text, map_ordered
 from .clustering import NOISE, dbscan, kmeans
-from .embeddings import EmbeddingSet, l2_normalize_all
+from .embeddings import EmbeddingSet
 from .neighborhood import punctured_neighborhood
 from .tps import PercentileTable, TpsReport, predicted_k, tps_batch
 
@@ -238,17 +238,18 @@ def run_opn(
 ) -> OpnResult:
     """Induce senses for every target and label every instance.
 
-    Aborts with a listing if any target is absent from the vocabulary
-    under both its raw form and its lemma.  With the partition backend and
-    k=None, each target gets a copy of the backend whose k is derived from
-    the target's score percentile within the evaluated population.  A k
-    above ``config.n`` is clamped to it, with one warning per target in
-    target order.  Sense labels read "<target>.sense_<index>"; output is
+    Requires L2-normalized embeddings, as ``load_unit_vectors`` returns
+    them; a raw set raises before any target is scored.  Aborts with a
+    listing if any target is absent from the vocabulary under both its raw
+    form and its lemma.  With the partition backend and k=None, each
+    target gets a copy of the backend whose k is derived from the target's
+    score percentile within the evaluated population.  A k above
+    ``config.n`` is clamped to it, with one warning per target in target
+    order.  Sense labels read "<target>.sense_<index>"; output is
     independent of instance order.
     """
     if not embeddings.normalized:
-        embeddings = l2_normalize_all(embeddings)
-
+        raise ValueError("neighborhood queries require L2-normalized embeddings")
     targets = sorted({instance.target for instance in instances})
     resolved = resolve_targets(embeddings, targets)
 

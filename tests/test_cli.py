@@ -213,6 +213,16 @@ class TestWsiCommand:
         labels = {label for _, _, label in load_key(out).rows}
         assert labels <= {"pivot.n.sense_0", "pivot.n.sense_1"}
 
+    def test_clamp_warnings_are_warning_lines_once_per_run(self, planted_files, tmp_path, capsys):
+        for _ in range(2):
+            rc = self.run_wsi(
+                planted_files, tmp_path / "system.key", extra=("--backend", "kmeans", "--k", "30", "--n", "10")
+            )
+            assert rc == 0
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: target 'pivot.n': k=30 exceeds neighborhood size 10, clamped"
+            ]
+
     def test_kmeans_auto_k_single_target_fails_honestly(self, tmp_path, capsys):
         vectors = tmp_path / "big.vec"
         save_vec_file(random_embedding(60, 8), vectors)
@@ -410,6 +420,14 @@ class TestShortClouds:
         assert "a (cloud of 0), b (cloud of 0), c (cloud of 0)" in captured.err
         assert out.read_text().splitlines()[1:] == ["a,2,0.000000", "b,2,0.000000", "c,2,0.000000"]
 
+    def test_empty_clouds_at_n_1_are_listed(self, tmp_path, capsys):
+        rc, out = self.run_tps(tmp_path, ["a 1 0", "b 2 0"], n=1)
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "2 words have fewer than n=1" in captured.err
+        assert "a (cloud of 0), b (cloud of 0)" in captured.err
+        assert out.read_text().splitlines()[1:] == ["a,1,0.000000", "b,1,0.000000"]
+
     def test_warning_lists_only_the_short_clouds(self, tmp_path, capsys):
         rc, out = self.run_tps(tmp_path, ["a 1 0", "b 2 0", "c 3 0", "d 0 1"], n=3)
         captured = capsys.readouterr()
@@ -522,12 +540,35 @@ class TestCorrelateCommand:
         assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+def fresh_python(*args, check=True):
+    """Run a fresh interpreter that imports this source tree of topolysemy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(topolysemy.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=check)
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
     code = (
         "import sys, topolysemy.cli; "
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert fresh_python("-c", code).stdout == "[]\n"
+
+
+def test_every_command_closes_its_files_in_dev_mode(planted_files, tmp_path):
+    words, counts = tmp_path / "words.txt", tmp_path / "counts.tsv"
+    listed = planted_files["data"].embeddings.words[:6]
+    words.write_text("".join(f"{word}\n" for word in listed))
+    counts.write_text("".join(f"{word}\t{i}\n" for i, word in enumerate(listed)))
+    vectors, tps_csv, key = planted_files["vectors"], tmp_path / "tps.csv", tmp_path / "system.key"
+    commands = [
+        ["tps", "--vectors", vectors, "--words", words, "--n", "10", "--out", tps_csv],
+        ["wsi", "--vectors", vectors, "--instances", planted_files["instances"], "--n", "48", "--out", key],
+        ["score", "--key", key, "--gold", planted_files["gold"], "--out", tmp_path / "report.csv"],
+        ["correlate", "--tps", tps_csv, "--counts", counts, "--out", tmp_path / "scatter.csv"],
+    ]
+    code = "import sys; from topolysemy.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in commands:
+        proc = fresh_python("-X", "dev", "-W", "error::ResourceWarning", "-c", code, *map(str, argv), check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr

@@ -39,6 +39,28 @@ class TestLoadVecFile:
         assert emb.words == ("10\u00a0000", "\u3000x", "x", "x\u3000")
         assert emb.vectors.tolist() == [[0, 1], [1, 0], [1, 1], [2, 1]]
 
+    def test_fields_split_on_ascii_whitespace_only(self, tmp_path):
+        path = write(tmp_path / "v.vec", "1 2\na 1.0\u30002.0\n")
+        with pytest.raises(ParseError, match=r":2: expected 2 components for 'a', got 1$"):
+            load_vec_file(path)
+
+    def test_word_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "v.vec"
+        path.write_bytes(b"2 1\na 1\n\xffb 2\n")
+        with pytest.raises(ParseError) as raised:
+            load_vec_file(path)
+        assert str(raised.value) == f"{path}:3: word b'\\xffb' is not valid UTF-8"
+
+    def test_crlf_loads_the_bits_of_lf(self, tmp_path, rng):
+        rows = rng.standard_normal((5, 3)) * 10.0 ** rng.uniform(-300, 300, size=(5, 1))
+        text = "5 3\n" + "".join(f"w{i}\u00df {' '.join(map(repr, row.tolist()))}\n" for i, row in enumerate(rows))
+        lf = load_vec_file(write(tmp_path / "lf.vec", text))
+        crlf_path = tmp_path / "crlf.vec"
+        crlf_path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        crlf = load_vec_file(crlf_path)
+        assert crlf.words == lf.words == tuple(f"w{i}\u00df" for i in range(5))
+        assert crlf.vectors.tobytes() == lf.vectors.tobytes() == rows.tobytes()
+
     # 10^11 x 300 float64 is 218 TiB, past the 128 TiB x86-64 user address
     # space, so the allocation fails without touching memory; 10^18 x 300
     # overflows numpy's size.
@@ -104,7 +126,7 @@ class TestLoadVecFile:
 
 
 def reference_load_vec(path):
-    """float() per token; arity, duplicate and row-count checks before the numbers."""
+    """float() per ASCII token; arity, duplicate and row-count checks before the numbers."""
     with open(path, encoding="utf-8") as handle:
         declared, dim = (int(part) for part in handle.readline().split())
         words, seen, rows = [], {}, []
@@ -124,6 +146,8 @@ def reference_load_vec(path):
             if len(rows) >= declared:
                 raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
             try:
+                if not all(value.isascii() for value in values):
+                    raise ValueError("numbers are ASCII")
                 vector = [float(value) for value in values]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None

@@ -21,6 +21,7 @@ from topolysemy import (
     run_opn,
     write_key,
 )
+from topolysemy import wsi
 from topolysemy.wsi import SenseClusters, SenseKey, load_instances, resolve_target, target_lemma
 
 
@@ -251,6 +252,31 @@ class TestRunOpn:
         assert set(result.senses) == {"b0w0", "pivot.n"}
         pattern = re.compile(r"^(b0w0|pivot\.n)\.sense_\d+$")
         assert all(pattern.match(label) for _, _, label in result.key.rows)
+
+    def test_raw_set_raises_before_any_work(self, monkeypatch):
+        data = planted_two_sense_dataset()
+        raw = EmbeddingSet(words=data.embeddings.words, vectors=data.embeddings.vectors)
+        instances = data.instances[:2] + (Instance(target="b0w0", id="x1", tokens=("b0w1",)),)
+        calls = []
+
+        def counted(name):
+            original = getattr(wsi, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("tps_batch", "induce_senses"):
+            monkeypatch.setattr(wsi, name, counted(name))
+        config = OpnConfig(n=6, backend=KmeansConfig(k=None, tps_n=20))
+        with pytest.raises(ValueError, match="require L2-normalized embeddings"):
+            run_opn(raw, instances, config)
+        assert calls == []
+        # The same set, marked unit, goes through both steps.
+        run_opn(data.embeddings, instances, config)
+        assert calls[0] == "tps_batch" and calls.count("induce_senses") == 2
 
     def test_kmeans_auto_k_single_target_is_degenerate(self):
         data = planted_two_sense_dataset()
