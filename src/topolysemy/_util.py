@@ -1,4 +1,4 @@
-"""Shared plumbing: parse errors, atomic file and CSV writes, worker pool and chunk sizing."""
+"""Shared plumbing: parse errors, UTF-8 line reads, atomic file and CSV writes, worker pool and chunk sizing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import io
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -22,6 +22,24 @@ CHUNK_ELEMENTS = 4_000_000
 
 class ParseError(ValueError):
     """A data file violates its declared format; messages carry path and line."""
+
+
+def utf8_lines(path: str | os.PathLike, newline: str | None = None) -> Iterator[str]:
+    """The lines that open(path, encoding="utf-8", newline=newline) yields.
+
+    A line that is not valid UTF-8 raises ParseError with the path, the line
+    number and the offending bytes, where open() would raise a bare codec
+    error from somewhere in the file.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as err:
+                # Only escaped invalid bytes decode to surrogates.
+                bad = line[err.start : err.end].encode("utf-8", "surrogateescape")
+                raise ParseError(f"{path}:{lineno}: {bad!r} is not valid UTF-8") from None
+            yield line
 
 
 def worker_count() -> int:

@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from ._util import ParseError, atomic_write_csv
+from ._util import ParseError, atomic_write_csv, utf8_lines
 from .embeddings import EmbeddingSet, load_count_table, load_unit_vectors
 from .metrics import pearson_with_p, save_score_report, score_keys
 from .tps import TPS_CSV_PRECISION, load_tps_csv, save_tps_csv, tps_batch
@@ -181,8 +181,7 @@ def cmd_tps(args: argparse.Namespace) -> int:
     if args.all_words:
         requested = list(embeddings.words)
     else:
-        with open(args.words, encoding="utf-8") as handle:
-            listed = [line.strip() for line in handle if line.strip()]
+        listed = [line.strip() for line in utf8_lines(args.words) if line.strip()]
         requested = list(dict.fromkeys(listed))
         if len(requested) < len(listed):
             logger.warning(f"skipping {len(listed) - len(requested)} repeated words")

@@ -15,11 +15,21 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import ParseError, atomic_write_text, chunk_rows
+from ._util import ParseError, atomic_write_text, chunk_rows, utf8_lines
 
 # Row norms in this range come from squares that neither underflow nor
 # overflow.
 _SAFE_NORMS = (1e-150, 1e150)
+
+# Float64 bytes of one np.loadtxt result.  loadtxt grows its buffer by a
+# quarter plus 8-16 KiB at a time, so every buffer stays under glibc's default
+# 128 KiB mmap threshold: blocks come from the heap, and freeing them never
+# raises the dynamic threshold, which would move later large temporaries onto
+# the heap too and raise peak RSS.
+_PARSE_BLOCK_BYTES = 64 * 1024
+# np.loadtxt also splits on these; bytes.split() does not, and float() cannot
+# read a token holding one.
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 _COUNT_RE = re.compile(r"\d+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
@@ -81,11 +91,11 @@ def load_vec_file(path) -> EmbeddingSet:
     """Parse a ".vec" text file into an EmbeddingSet, preserving file order.
 
     Every line, the header included, splits on ASCII whitespace.  Words are
-    UTF-8; numbers are ASCII decimal as float() reads them.  Raises
-    ParseError (with the offending line number) on a malformed header or
-    one too large to allocate, a word that is not valid UTF-8, wrong row
-    arity, unparseable or non-finite numbers, duplicate words, or a row
-    count that contradicts the header.
+    UTF-8; numbers are ASCII decimal as float() reads them, without "_"
+    digit grouping.  Raises ParseError (with the offending line number) on a
+    malformed header or one too large to allocate, a word that is not valid
+    UTF-8, wrong row arity, unparseable or non-finite numbers, duplicate
+    words, or a row count that contradicts the header.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -110,38 +120,81 @@ def load_vec_file(path) -> EmbeddingSet:
                 f"{path}:1: header N={declared} d={dim} needs {declared * dim * 8:,} bytes "
                 "of float64, more than can be allocated"
             ) from None
+
+        def add(block: list[tuple[int, list[bytes]]]) -> None:
+            """Check and store a block of split lines; raise the first error in file order."""
+            rests = [fields[1] for _, fields in block if len(fields) == 2]
+            # Every line of a parsed block holds dim numbers, so only the word,
+            # row-count and finiteness checks are left; otherwise each line
+            # is checked alone.
+            values = _parse_numbers(rests, dim) if len(rests) == len(block) else None
+            if values is not None:
+                finite = np.isfinite(values).all(axis=1).tolist()
+            start = len(words)
+            for i, (lineno, fields) in enumerate(block):
+                try:
+                    word = fields[0].decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(f"{path}:{lineno}: word {fields[0]!r} is not valid UTF-8") from None
+                if values is None:
+                    tokens = fields[1].split() if len(fields) == 2 else []
+                    if len(tokens) != dim:
+                        raise ParseError(
+                            f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(tokens)}"
+                        )
+                if word in seen:
+                    raise ParseError(
+                        f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
+                    )
+                if len(words) == declared:
+                    raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+                if values is None:
+                    row = _parse_numbers([b" ".join(tokens)], dim)
+                    if row is None:
+                        raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
+                    rows[len(words)] = row[0]
+                    row_finite = np.isfinite(row).all()
+                else:
+                    row_finite = finite[i]
+                if not row_finite:
+                    raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
+                seen[word] = lineno
+                words.append(word)
+            if values is not None:
+                rows[start : len(words)] = values
+
+        step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
+        block: list[tuple[int, list[bytes]]] = []
         for lineno, line in enumerate(handle, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                word = fields[0].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"{path}:{lineno}: word {fields[0]!r} is not valid UTF-8") from None
-            values = fields[1:]
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(values)}"
-                )
-            if word in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
-                )
-            if len(words) == declared:
-                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
-            row = rows[len(words)]
-            try:
-                # numpy casts each bytes token with float()'s grammar, ASCII only.
-                row[:] = values
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None
-            if not np.isfinite(row).all():
-                raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
-            seen[word] = lineno
-            words.append(word)
+            fields = line.split(None, 1)
+            if fields:
+                block.append((lineno, fields))
+                if len(block) == step:
+                    add(block)
+                    block = []
+        if block:
+            add(block)
         if len(words) != declared:
             raise ParseError(f"{path}: header declares {declared} rows, found {len(words)}")
     return EmbeddingSet(words=tuple(words), vectors=rows)
+
+
+def _parse_numbers(lines: list[bytes], dim: int) -> np.ndarray | None:
+    """The len(lines) x dim matrix of the numbers in lines, or None if any line is not dim numbers.
+
+    lines must be non-empty, and none blank.  Numbers split on ASCII
+    whitespace and parse as float() reads them, except that "_" grouping
+    and non-ASCII bytes are unparseable.
+    """
+    text = b"".join(lines)
+    if any(space in text for space in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2, encoding="ascii")
+    except ValueError:  # UnicodeDecodeError, for a non-ASCII byte, is a ValueError too
+        return None
+    # loadtxt skips blank lines and checks column counts only within a call.
+    return values if values.shape == (len(lines), dim) else None
 
 
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
@@ -209,31 +262,29 @@ def tokenize(text: str) -> list[str]:
 def count_corpus(path) -> dict[str, int]:
     """Token frequencies of a plain-text corpus under `tokenize`."""
     counts: Counter[str] = Counter()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            counts.update(tokenize(line))
+    for line in utf8_lines(path):
+        counts.update(tokenize(line))
     return dict(counts)
 
 
 def load_count_table(path) -> dict[str, int]:
     """Parse a "word<TAB>count" TSV; counts must be nonnegative integers."""
     entries: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise ParseError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}")
-            word, raw_count = fields
-            if not _COUNT_RE.fullmatch(raw_count):
-                raise ParseError(
-                    f"{path}:{lineno}: count for {word!r} must be a nonnegative integer, got {raw_count!r}"
-                )
-            if word in entries:
-                raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-            entries[word] = int(raw_count)
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise ParseError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}")
+        word, raw_count = fields
+        if not _COUNT_RE.fullmatch(raw_count):
+            raise ParseError(
+                f"{path}:{lineno}: count for {word!r} must be a nonnegative integer, got {raw_count!r}"
+            )
+        if word in entries:
+            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
+        entries[word] = int(raw_count)
     return entries
 
 

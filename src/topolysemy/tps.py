@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_csv, map_ordered, worker_count
+from ._util import ParseError, atomic_write_csv, map_ordered, utf8_lines, worker_count
 from .embeddings import EmbeddingSet, l2_normalize_all
 from .neighborhood import NeighborhoodCloud, punctured_neighborhoods
 from .persistence import degree0_diagram, wasserstein_norm
@@ -152,27 +152,26 @@ def save_tps_csv(reports: Sequence[TpsReport], path) -> None:
 def load_tps_csv(path) -> list[TpsReport]:
     """Read back the "word,n,tps" format written by save_tps_csv."""
     reports: list[TpsReport] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["word", "n", "tps"]:
-            raise ParseError(f"{path}:1: expected header 'word,n,tps', got {header!r}")
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            word, raw_n, raw_score = row
-            if word in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-            try:
-                n = int(raw_n)
-                score = float(raw_score)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: unparseable row {row!r}") from None
-            if not math.isfinite(score) or score < 0.0:
-                raise ParseError(f"{path}:{lineno}: invalid score for {word!r}")
-            seen.add(word)
-            reports.append(TpsReport(word=word, n=n, score=score))
+    reader = csv.reader(utf8_lines(path, newline=""))
+    header = next(reader, None)
+    if header != ["word", "n", "tps"]:
+        raise ParseError(f"{path}:1: expected header 'word,n,tps', got {header!r}")
+    seen: set[str] = set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        word, raw_n, raw_score = row
+        if word in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
+        try:
+            n = int(raw_n)
+            score = float(raw_score)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: unparseable row {row!r}") from None
+        if not math.isfinite(score) or score < 0.0:
+            raise ParseError(f"{path}:{lineno}: invalid score for {word!r}")
+        seen.add(word)
+        reports.append(TpsReport(word=word, n=n, score=score))
     return reports

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_text, map_ordered
+from ._util import ParseError, atomic_write_text, map_ordered, utf8_lines
 from .clustering import NOISE, dbscan, kmeans
 from .embeddings import EmbeddingSet
 from .neighborhood import punctured_neighborhood
@@ -287,28 +287,27 @@ def run_opn(
 def load_instances(path) -> list[Instance]:
     """Parse JSONL instances: {"target", "id", "tokens"} per line."""
     instances: list[Instance] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            missing = [name for name in ("target", "id", "tokens") if name not in record]
-            if missing:
-                raise ParseError(f"{path}:{lineno}: missing fields {missing}")
-            target, instance_id, tokens = record["target"], record["id"], record["tokens"]
-            if not isinstance(target, str) or not isinstance(instance_id, str):
-                raise ParseError(f"{path}:{lineno}: 'target' and 'id' must be strings")
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise ParseError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            try:
-                instances.append(Instance(target=target, id=instance_id, tokens=tuple(tokens)))
-            except ValueError as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object")
+        missing = [name for name in ("target", "id", "tokens") if name not in record]
+        if missing:
+            raise ParseError(f"{path}:{lineno}: missing fields {missing}")
+        target, instance_id, tokens = record["target"], record["id"], record["tokens"]
+        if not isinstance(target, str) or not isinstance(instance_id, str):
+            raise ParseError(f"{path}:{lineno}: 'target' and 'id' must be strings")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ParseError(f"{path}:{lineno}: 'tokens' must be a list of strings")
+        try:
+            instances.append(Instance(target=target, id=instance_id, tokens=tuple(tokens)))
+        except ValueError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
     return instances
 
 
@@ -321,16 +320,15 @@ def write_key(key: SenseKey, path) -> None:
 def load_key(path) -> SenseKey:
     """Parse the space-separated three-column key format."""
     rows: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'target instance_id label', got {line.strip()!r}"
-                )
-            rows.append((fields[0], fields[1], fields[2]))
+    for lineno, line in enumerate(utf8_lines(path), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            raise ParseError(
+                f"{path}:{lineno}: expected 'target instance_id label', got {line.strip()!r}"
+            )
+        rows.append((fields[0], fields[1], fields[2]))
     try:
         return SenseKey(rows=tuple(rows))
     except ValueError as err:

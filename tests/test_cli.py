@@ -540,6 +540,46 @@ class TestCorrelateCommand:
         assert not out.exists()
 
 
+class TestInvalidUtf8:
+    """Every text input names the path and line of bytes that are not UTF-8."""
+
+    def expect_error(self, argv, path, lineno, capsys):
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: b'\\xff' is not valid UTF-8\n"
+
+    def test_tps_word_list(self, planted_files, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"pivot\nb0w0\n\xffx\n")
+        argv = ["tps", "--vectors", planted_files["vectors"], "--words", words, "--out", tmp_path / "t.csv"]
+        self.expect_error(argv, words, 3, capsys)
+
+    def test_wsi_instances(self, planted_files, tmp_path, capsys):
+        instances = tmp_path / "instances.jsonl"
+        good = planted_files["instances"].read_bytes().splitlines(keepends=True)
+        instances.write_bytes(b"".join(good[:2]) + b'{"target": "pivot\xff"}\n')
+        argv = ["wsi", "--vectors", planted_files["vectors"], "--instances", instances, "--out", tmp_path / "k"]
+        self.expect_error(argv, instances, 3, capsys)
+
+    def test_score_key(self, planted_files, tmp_path, capsys):
+        key = tmp_path / "system.key"
+        key.write_bytes(planted_files["gold"].read_bytes() + b"pivot x\xff pivot.1\n")
+        lineno = len(planted_files["gold"].read_bytes().splitlines()) + 1
+        argv = ["score", "--key", key, "--gold", planted_files["gold"], "--out", tmp_path / "r.csv"]
+        self.expect_error(argv, key, lineno, capsys)
+
+    def test_correlate_tps_csv(self, tmp_path, capsys):
+        tps, counts = TestCorrelateCommand().write_inputs(tmp_path, [("a", 2), ("b", 4), ("c", 6)])
+        tps.write_bytes(tps.read_bytes() + b"\xff,50,1.000000\n")
+        argv = ["correlate", "--tps", tps, "--counts", counts, "--out", tmp_path / "s.csv"]
+        self.expect_error(argv, tps, 6, capsys)
+
+    def test_correlate_count_table(self, tmp_path, capsys):
+        tps, counts = TestCorrelateCommand().write_inputs(tmp_path, [("a", 2), ("b", 4), ("c", 6)])
+        counts.write_bytes(b"a\t2\n\xff\t2\n")
+        argv = ["correlate", "--tps", tps, "--counts", counts, "--out", tmp_path / "s.csv"]
+        self.expect_error(argv, counts, 2, capsys)
+
+
 def fresh_python(*args, check=True):
     """Run a fresh interpreter that imports this source tree of topolysemy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(topolysemy.__file__)))

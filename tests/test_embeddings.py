@@ -51,6 +51,14 @@ class TestLoadVecFile:
             load_vec_file(path)
         assert str(raised.value) == f"{path}:3: word b'\\xffb' is not valid UTF-8"
 
+    def test_lone_cr_is_whitespace(self, tmp_path):
+        # np.loadtxt rejects a line with an embedded \r; bytes.split() does not.
+        path = tmp_path / "v.vec"
+        path.write_bytes(b"2 2\na 1\r2\nb\r3 4\n")
+        emb = load_vec_file(path)
+        assert emb.words == ("a", "b")
+        assert emb.vectors.tolist() == [[1, 2], [3, 4]]
+
     def test_crlf_loads_the_bits_of_lf(self, tmp_path, rng):
         rows = rng.standard_normal((5, 3)) * 10.0 ** rng.uniform(-300, 300, size=(5, 1))
         text = "5 3\n" + "".join(f"w{i}\u00df {' '.join(map(repr, row.tolist()))}\n" for i, row in enumerate(rows))
@@ -126,12 +134,13 @@ class TestLoadVecFile:
 
 
 def reference_load_vec(path):
-    """float() per ASCII token; arity, duplicate and row-count checks before the numbers."""
+    """float() per ASCII token, without "_"; arity, duplicate and row-count checks before the numbers."""
     with open(path, encoding="utf-8") as handle:
         declared, dim = (int(part) for part in handle.readline().split())
         words, seen, rows = [], {}, []
         for lineno, line in enumerate(handle, start=2):
-            fields = line.split()
+            # ASCII whitespace, as the README states; str.split() would also split on \x1c-\x1f.
+            fields = [field.decode("utf-8") for field in line.encode("utf-8").split()]
             if not fields:
                 continue
             word, values = fields[0], fields[1:]
@@ -146,8 +155,8 @@ def reference_load_vec(path):
             if len(rows) >= declared:
                 raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
             try:
-                if not all(value.isascii() for value in values):
-                    raise ValueError("numbers are ASCII")
+                if not all(value.isascii() and "_" not in value for value in values):
+                    raise ValueError("numbers are ASCII, without digit grouping")
                 vector = [float(value) for value in values]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}") from None
@@ -169,25 +178,36 @@ NUMBER_WORDS = st.sampled_from(
 )
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 TOKENS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NUMBER_JUNK, NUMBER_WORDS)
+# Mostly ASCII spaces; np.loadtxt also splits on \x1c-\x1f, bytes.split() and float() do not.
+GAPS = st.sampled_from([" ", " ", " ", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f"])
 
 
 @st.composite
 def vec_texts(draw):
     """A '.vec' text with a well-formed header and rows that may break every rule."""
     dim = draw(st.integers(1, 3))
+    word = st.sampled_from(["a", "b", "c", "d", "\u00df"])
     row = st.tuples(
-        st.sampled_from(["a", "b", "c", "d", "\u00df"]),
-        st.one_of(st.lists(TOKENS, min_size=dim, max_size=dim), st.lists(TOKENS, max_size=dim + 1)),
+        word,
+        st.one_of(
+            st.lists(TOKENS, min_size=dim, max_size=dim),
+            st.lists(TOKENS, max_size=dim + 1),
+            st.lists(NUMBERS, min_size=dim + 1, max_size=dim + 1),
+        ),
+        st.lists(GAPS, min_size=dim + 1, max_size=dim + 1),
         st.sampled_from(["", " ", " \t "]),
-    ).map(lambda parts: " ".join([parts[0], *parts[1]]) + parts[2])
-    lines = draw(st.lists(st.one_of(row, row, row, st.sampled_from(["", "  "])), max_size=6))
+    ).map(lambda parts: parts[0] + "".join(g + t for g, t in zip(parts[2], parts[1])) + parts[3])
+    word_only = st.tuples(word, st.sampled_from(["", " "])).map("".join)
+    lines = draw(st.lists(st.one_of(row, row, row, word_only, st.sampled_from(["", "  "])), max_size=6))
+    # A row of dim + 1 numbers first sets the column count of the first block.
+    if draw(st.booleans()):
+        wide = " ".join(draw(st.lists(NUMBERS, min_size=dim + 1, max_size=dim + 1)))
+        lines.insert(0, f"{draw(word)} {wide}")
     declared = draw(st.one_of(st.just(sum(1 for line in lines if line.strip())), st.integers(0, 5)))
     return f"{declared} {dim}\n" + "".join(line + "\n" for line in lines)
 
 
-@given(vec_texts())
-def test_load_vec_file_matches_plain_python_reference(tmp_path_factory, text):
-    path = write(tmp_path_factory.mktemp("vec") / "v.vec", text)
+def assert_loads_as_the_reference(path):
     try:
         words, rows = reference_load_vec(path)
     except ParseError as expected:
@@ -198,6 +218,43 @@ def test_load_vec_file_matches_plain_python_reference(tmp_path_factory, text):
     emb = load_vec_file(path)
     assert emb.words == words
     assert emb.vectors.tobytes() == rows.tobytes()
+
+
+@given(vec_texts())
+def test_load_vec_file_matches_plain_python_reference(tmp_path_factory, text):
+    assert_loads_as_the_reference(write(tmp_path_factory.mktemp("vec") / "v.vec", text))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@given(text=vec_texts())
+def test_load_vec_file_matches_the_reference_for_every_block_size(tmp_path_factory, block, text):
+    # At the default size every example is one block of np.loadtxt rows.
+    dim = int(text.split()[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * dim)
+        assert_loads_as_the_reference(write(tmp_path_factory.mktemp("vec") / "v.vec", text))
+
+
+@pytest.mark.parametrize("shape", [(20_000, 100), (3, 20_000)], ids=["20000x100", "3x20000"])
+def test_each_parse_result_stays_under_the_mmap_threshold(tmp_path, monkeypatch, shape):
+    # glibc maps allocations of 128 KiB and more, and freeing one raises its
+    # mmap threshold for the rest of the process; tracemalloc cannot see that.
+    rng = np.random.default_rng(7)
+    values = rng.integers(-999, 1000, size=shape)
+    path = tmp_path / "v.vec"
+    lines = [f"{shape[0]} {shape[1]}"] + [f"w{i} " + " ".join(map(str, row)) for i, row in enumerate(values.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    loadtxt, results = np.loadtxt, []
+
+    def recording(*args, **kwargs):
+        results.append(loadtxt(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    emb = load_vec_file(path)
+    assert emb.vectors.tobytes() == values.astype(np.float64).tobytes()
+    assert sum(len(result) for result in results) == shape[0]
+    assert all(result.nbytes <= 128 * 1024 or len(result) == 1 for result in results)
 
 
 def test_load_unit_vectors_normalizes_the_parsed_buffer(tmp_path, monkeypatch):
@@ -380,6 +437,13 @@ class TestCountFrequencies:
     def test_count_corpus(self, tmp_path):
         path = write(tmp_path / "c.txt", "The cat.\nthe DOG!\n")
         assert count_corpus(path) == {"the": 2, "cat": 1, "dog": 1}
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"The cat.\r\nthe \xe9\xff DOG!\n")
+        with pytest.raises(ParseError) as raised:
+            count_corpus(path)
+        assert str(raised.value) == f"{path}:2: b'\\xe9\\xff' is not valid UTF-8"
 
 
 class TestCountTable:
