@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
+import secrets
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -43,17 +43,18 @@ def utf8_lines(path: str | os.PathLike, newline: str | None = None) -> Iterator[
 
 
 def worker_count() -> int:
-    """Worker cap: TPS_THREADS when set, otherwise one per CPU (at most 8)."""
+    """Worker cap: TPS_THREADS when set, otherwise 8, and never more than the CPU count."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
-        return min(os.cpu_count() or 1, 8)
+        return min(cpus, 8)
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
+    return min(cpus, value)
 
 
 def chunk_rows(columns: int) -> int:
@@ -78,14 +79,11 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int | None = 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write through a sibling temp file + rename so partial output is never visible."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="-" + os.path.basename(path))
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}-{name}")
+    # open(path, "w")'s mode: the kernel applies the umask; O_EXCL never opens an existing file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # open(path, "w")'s mode, not mkstemp's 0o600; the umask can only be read by setting it.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
             handle.flush()

@@ -19,6 +19,7 @@ import argparse
 import logging
 import math
 import os
+import string
 import sys
 from typing import Callable, Sequence
 
@@ -181,7 +182,8 @@ def cmd_tps(args: argparse.Namespace) -> int:
     if args.all_words:
         requested = list(embeddings.words)
     else:
-        listed = [line.strip() for line in utf8_lines(args.words) if line.strip()]
+        # ASCII whitespace, as .vec words split on: a word may hold U+3000 or U+00A0.
+        listed = [word for line in utf8_lines(args.words) if (word := line.strip(string.whitespace))]
         requested = list(dict.fromkeys(listed))
         if len(requested) < len(listed):
             logger.warning(f"skipping {len(listed) - len(requested)} repeated words")

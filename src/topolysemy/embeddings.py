@@ -105,13 +105,16 @@ def load_vec_file(path) -> EmbeddingSet:
             got = repr(shown) if parts else "empty line"
             raise ParseError(f"{path}:1: expected header 'N d', got {got}")
         try:
+            # ASCII digits only, as in rows: int() also takes "_", a sign and spaces.
+            if not (parts[0].isdigit() and parts[1].isdigit()):
+                raise ValueError
+            # int() refuses digit strings over sys.get_int_max_str_digits() long.
             declared, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"{path}:1: header fields must be integers, got {shown!r}") from None
-        if declared < 0 or dim < 1:
+        if dim < 1:
             raise ParseError(f"{path}:1: header needs N >= 0 and d >= 1, got N={declared} d={dim}")
 
-        words: list[str] = []
         seen: dict[str, int] = {}
         try:
             rows = np.empty((declared, dim), dtype=np.float64)
@@ -121,79 +124,72 @@ def load_vec_file(path) -> EmbeddingSet:
                 "of float64, more than can be allocated"
             ) from None
 
-        def add(block: list[tuple[int, list[bytes]]]) -> None:
+        def add(block: list[tuple[int, bytes, bytes]]) -> None:
             """Check and store a block of split lines; raise the first error in file order."""
-            rests = [fields[1] for _, fields in block if len(fields) == 2]
-            # Every line of a parsed block holds dim numbers, so only the word,
-            # row-count and finiteness checks are left; otherwise each line
-            # is checked alone.
-            values = _parse_numbers(rests, dim) if len(rests) == len(block) else None
+            values = _parse_numbers([rest for _, _, rest in block], dim)
             if values is not None:
                 finite = np.isfinite(values).all(axis=1).tolist()
-            start = len(words)
-            for i, (lineno, fields) in enumerate(block):
+            else:
+                # Each line alone, its numbers rejoined so that a lone \r stays whitespace.
+                values = [_parse_numbers([b" ".join(rest.split())], dim) for _, _, rest in block]
+                finite = [None if row is None else np.isfinite(row).all() for row in values]
+            start = len(seen)
+            # finite is None for a line whose numbers did not parse.
+            for (lineno, raw, rest), row_finite in zip(block, finite):
                 try:
-                    word = fields[0].decode("utf-8")
+                    word = raw.decode("utf-8")
                 except UnicodeDecodeError:
-                    raise ParseError(f"{path}:{lineno}: word {fields[0]!r} is not valid UTF-8") from None
-                if values is None:
-                    tokens = fields[1].split() if len(fields) == 2 else []
-                    if len(tokens) != dim:
-                        raise ParseError(
-                            f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(tokens)}"
-                        )
+                    raise ParseError(f"{path}:{lineno}: word {raw!r} is not valid UTF-8") from None
+                if row_finite is None and len(rest.split()) != dim:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(rest.split())}"
+                    )
                 if word in seen:
                     raise ParseError(
                         f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
                     )
-                if len(words) == declared:
+                if len(seen) == declared:
                     raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
-                if values is None:
-                    row = _parse_numbers([b" ".join(tokens)], dim)
-                    if row is None:
-                        raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
-                    rows[len(words)] = row[0]
-                    row_finite = np.isfinite(row).all()
-                else:
-                    row_finite = finite[i]
+                if row_finite is None:
+                    raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
                 if not row_finite:
                     raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
                 seen[word] = lineno
-                words.append(word)
-            if values is not None:
-                rows[start : len(words)] = values
+            # A line parsed alone is a 1 x dim matrix.
+            rows[start : len(seen)] = np.reshape(values, (-1, dim))
 
         step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
-        block: list[tuple[int, list[bytes]]] = []
+        block: list[tuple[int, bytes, bytes]] = []
         for lineno, line in enumerate(handle, start=2):
             fields = line.split(None, 1)
             if fields:
-                block.append((lineno, fields))
+                block.append((lineno, fields[0], fields[1] if len(fields) == 2 else b""))
                 if len(block) == step:
                     add(block)
                     block = []
         if block:
             add(block)
-        if len(words) != declared:
-            raise ParseError(f"{path}: header declares {declared} rows, found {len(words)}")
-    return EmbeddingSet(words=tuple(words), vectors=rows)
+        if len(seen) != declared:
+            raise ParseError(f"{path}: header declares {declared} rows, found {len(seen)}")
+    return EmbeddingSet(words=tuple(seen), vectors=rows)
 
 
 def _parse_numbers(lines: list[bytes], dim: int) -> np.ndarray | None:
     """The len(lines) x dim matrix of the numbers in lines, or None if any line is not dim numbers.
 
-    lines must be non-empty, and none blank.  Numbers split on ASCII
-    whitespace and parse as float() reads them, except that "_" grouping
-    and non-ASCII bytes are unparseable.
+    A blank line is not dim numbers.  Numbers split on ASCII whitespace and
+    parse as float() reads them, except that "_" grouping and non-ASCII
+    bytes are unparseable.
     """
     text = b"".join(lines)
-    if any(space in text for space in _LOADTXT_ONLY_SPACE):
+    # loadtxt warns on input with no data, and skips blank lines within a call.
+    if not text.strip() or any(space in text for space in _LOADTXT_ONLY_SPACE):
         return None
     try:
         values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2, encoding="ascii")
     except ValueError:  # UnicodeDecodeError, for a non-ASCII byte, is a ValueError too
         return None
-    # loadtxt skips blank lines and checks column counts only within a call.
+    # loadtxt checks column counts only within a call.
     return values if values.shape == (len(lines), dim) else None
 
 

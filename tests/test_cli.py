@@ -131,7 +131,23 @@ class TestTpsCommand:
             )
         assert exc.value.code == 2
 
+    def test_word_list_strips_only_ascii_whitespace(self, tmp_path, capsys):
+        # "\u3000x" and "x" are distinct .vec words, so the list must not strip U+3000.
+        vectors = tmp_path / "v.vec"
+        vectors.write_text("4 2\n10\u00a0000 1 0\n\u3000x 0 1\nx 1 1\ny -1 1\n", encoding="utf-8")
+        listed = tmp_path / "words.txt"
+        listed.write_text(" \u3000x\t\r\n", encoding="utf-8")
+        argv = ["tps", "--vectors", str(vectors), "--n", "2"]
+        assert main([*argv, "--words", str(listed), "--out", str(tmp_path / "listed.csv")]) == 0
+        assert main([*argv, "--all", "--out", str(tmp_path / "all.csv")]) == 0
+        assert "out-of-vocabulary" not in capsys.readouterr().err
+        (scored,) = (tmp_path / "listed.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert scored.startswith("\u3000x,2,")
+        assert scored in (tmp_path / "all.csv").read_text(encoding="utf-8").splitlines()
+
     def test_csv_bytes_do_not_depend_on_thread_count(self, planted_files, tmp_path, monkeypatch):
+        # TPS_THREADS is capped at the CPU count; two CPUs keep two workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("TPS_THREADS", threads)

@@ -51,8 +51,12 @@ class TestLoadVecFile:
             load_vec_file(path)
         assert str(raised.value) == f"{path}:3: word b'\\xffb' is not valid UTF-8"
 
-    def test_lone_cr_is_whitespace(self, tmp_path):
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "default"])
+    def test_lone_cr_is_whitespace(self, tmp_path, monkeypatch, block):
         # np.loadtxt rejects a line with an embedded \r; bytes.split() does not.
+        # A line checked alone must not hand loadtxt its raw rest either.
+        if block is not None:
+            monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * 2)
         path = tmp_path / "v.vec"
         path.write_bytes(b"2 2\na 1\r2\nb\r3 4\n")
         emb = load_vec_file(path)
@@ -104,6 +108,25 @@ class TestLoadVecFile:
         path = write(tmp_path / "v.vec", "2 1\na 1\na 2\n")
         with pytest.raises(ParseError, match="duplicate"):
             load_vec_file(path)
+
+    # Header fields follow the row grammar's ASCII digits: int() alone would
+    # take "_", a sign and spaces, and refuses over 4,300 digits.
+    @pytest.mark.parametrize(
+        "header",
+        ["1_0 1", "+10 1", "10 +1", "1" * 5000 + " 1"],
+        ids=["grouped", "signed-N", "signed-d", "5000-digits"],
+    )
+    def test_header_fields_are_ascii_digits(self, tmp_path, header):
+        path = write(tmp_path / "v.vec", f"{header}\n" + "".join(f"w{i} 1\n" for i in range(10)))
+        with pytest.raises(ParseError) as raised:
+            load_vec_file(path)
+        assert str(raised.value) == f"{path}:1: header fields must be integers, got {header!r}"
+
+    def test_header_needs_a_positive_dimension(self, tmp_path):
+        path = write(tmp_path / "v.vec", "0 0\n")
+        with pytest.raises(ParseError) as raised:
+            load_vec_file(path)
+        assert str(raised.value) == f"{path}:1: header needs N >= 0 and d >= 1, got N=0 d=0"
 
     def test_malformed_header(self, tmp_path):
         path = write(tmp_path / "v.vec", "banana\na 1\n")

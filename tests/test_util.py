@@ -1,11 +1,11 @@
-"""Shared plumbing: atomic writes."""
+"""Shared plumbing: atomic writes and the worker cap."""
 
 import os
 import stat
 
 import pytest
 
-from topolysemy._util import atomic_write_text
+from topolysemy._util import THREADS_ENV, atomic_write_text, worker_count
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
@@ -20,3 +20,31 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
     modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("atomic.txt", "plain.txt")]
     assert modes == [0o666 & ~umask] * 2
     assert (tmp_path / "atomic.txt").read_text() == "x\n"
+
+
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask, even to restore it, changes the mode of files other
+    # threads create meanwhile.
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", lambda mask: pytest.fail("atomic_write_text set the umask"))
+            atomic_write_text(tmp_path / "atomic.txt", "x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["atomic.txt"]
+
+
+# Only the returned cap is checked: no pool of the requested size is started.
+@pytest.mark.parametrize(
+    "threads, cpus, cap",
+    [(None, 16, 8), (None, 2, 2), (None, None, 1), ("3", 4, 3), ("100000", 4, 4), ("2", 1, 1)],
+)
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, threads, cpus, cap):
+    if threads is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert worker_count() == cap

@@ -1,6 +1,7 @@
 """Sense induction: neighborhood clustering and relative-overlap assignment."""
 
 import logging
+import os
 import re
 
 import numpy as np
@@ -231,6 +232,7 @@ class TestRunOpn:
 
     def test_clamp_warnings_in_target_order_whatever_the_threads(self, caplog, monkeypatch):
         monkeypatch.setenv("TPS_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         data = planted_two_sense_dataset()
         targets = [f"b{b}w{i}" for i in range(12) for b in (1, 0)]
         instances = [Instance(target=t, id="x", tokens=("pivot",)) for t in targets]
