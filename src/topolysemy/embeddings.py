@@ -8,20 +8,25 @@ TSV tables.
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
+import signal
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import BinaryIO, Callable, Mapping
 
 import numpy as np
 
-from ._util import ParseError, atomic_write_text, chunk_rows, utf8_lines
+from ._util import ParseError, atomic_write_text, chunk_rows, utf8_lines, worker_count
 
 # Row norms in this range come from squares that neither underflow nor
 # overflow.
 _SAFE_NORMS = (1e-150, 1e150)
 
-# Float64 bytes of one np.loadtxt result.  loadtxt grows its buffer by a
+# Float64 bytes of one np.loadtxt result, and of one block of rows that
+# load_unit_vectors moves.  loadtxt grows its buffer by a
 # quarter plus 8-16 KiB at a time, so every buffer stays under glibc's default
 # 128 KiB mmap threshold: blocks come from the heap, and freeing them never
 # raises the dynamic threshold, which would move later large temporaries onto
@@ -30,6 +35,11 @@ _PARSE_BLOCK_BYTES = 64 * 1024
 # np.loadtxt also splits on these; bytes.split() does not, and float() cannot
 # read a token holding one.
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Smallest byte range of a .vec body worth a forked parse worker; smaller
+# files are parsed in this process alone.
+_MIN_RANGE_BYTES = 1 << 20
+# Reads that count newlines stay this small, so they leave peak RSS alone.
+_SCAN_BYTES = 1 << 20
 
 _COUNT_RE = re.compile(r"\d+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
@@ -96,6 +106,10 @@ def load_vec_file(path) -> EmbeddingSet:
     malformed header or one too large to allocate, a word that is not valid
     UTF-8, wrong row arity, unparseable or non-finite numbers, duplicate
     words, or a row count that contradicts the header.
+
+    The rows are parsed in up to worker_count() newline-aligned byte ranges,
+    all but the first in forked worker processes; the error raised is still
+    the first in file order.  A worker that dies raises ChildProcessError.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -115,7 +129,6 @@ def load_vec_file(path) -> EmbeddingSet:
         if dim < 1:
             raise ParseError(f"{path}:1: header needs N >= 0 and d >= 1, got N={declared} d={dim}")
 
-        seen: dict[str, int] = {}
         try:
             rows = np.empty((declared, dim), dtype=np.float64)
         except (MemoryError, ValueError):
@@ -124,8 +137,18 @@ def load_vec_file(path) -> EmbeddingSet:
                 "of float64, more than can be allocated"
             ) from None
 
-        def add(block: list[tuple[int, bytes, bytes]]) -> None:
-            """Check and store a block of split lines; raise the first error in file order."""
+        def admit(seen: dict[str, int], lineno: int, word: str) -> None:
+            """Add word's line to seen, or raise the duplicate or surplus-row error it makes."""
+            if word in seen:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
+                )
+            if len(seen) == declared:
+                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+            seen[word] = lineno
+
+        def add(seen: dict[str, int], block: list[tuple[int, bytes, bytes]]) -> None:
+            """Check and store a block of split lines after seen's rows; raise the first error in file order."""
             values = _parse_numbers([rest for _, _, rest in block], dim)
             if values is not None:
                 finite = np.isfinite(values).all(axis=1).tolist()
@@ -144,34 +167,119 @@ def load_vec_file(path) -> EmbeddingSet:
                     raise ParseError(
                         f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(rest.split())}"
                     )
-                if word in seen:
-                    raise ParseError(
-                        f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
-                    )
-                if len(seen) == declared:
-                    raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+                admit(seen, lineno, word)
                 if row_finite is None:
                     raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
                 if not row_finite:
                     raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
-                seen[word] = lineno
             # A line parsed alone is a 1 x dim matrix.
             rows[start : len(seen)] = np.reshape(values, (-1, dim))
 
-        step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
-        block: list[tuple[int, bytes, bytes]] = []
-        for lineno, line in enumerate(handle, start=2):
-            fields = line.split(None, 1)
-            if fields:
-                block.append((lineno, fields[0], fields[1] if len(fields) == 2 else b""))
-                if len(block) == step:
-                    add(block)
-                    block = []
-        if block:
-            add(block)
+        def parse(handle: BinaryIO, end: int | None, lineno: int, seen: dict[str, int]) -> None:
+            """Check and store handle's lines, the first numbered lineno, up to offset end or EOF."""
+            step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
+            block: list[tuple[int, bytes, bytes]] = []
+            for lineno, line in enumerate(handle, start=lineno):
+                fields = line.split(None, 1)
+                if fields:
+                    block.append((lineno, fields[0], fields[1] if len(fields) == 2 else b""))
+                    if len(block) == step:
+                        add(seen, block)
+                        block = []
+                if end is not None and handle.tell() >= end:
+                    break
+            if block:
+                add(seen, block)
+
+        def send(start: int, end: int | None, out: BinaryIO) -> None:
+            """In a worker: parse the range [start, end), send its words and first error, then its rows."""
+            with open(path, "rb") as own:
+                own.seek(len(header))
+                lineno = 2
+                for offset in range(len(header), start, _SCAN_BYTES):
+                    lineno += own.read(min(_SCAN_BYTES, start - offset)).count(b"\n")
+                seen: dict[str, int] = {}
+                try:
+                    parse(own, end, lineno, seen)
+                    error = None
+                except ParseError as err:
+                    error = str(err)
+            pickle.dump((seen, error), out)
+            if error is None:
+                out.write(rows[: len(seen)])
+
+        cuts = _cuts(handle)
+        ends = [*cuts, None]
+        seen: dict[str, int] = {}
+        workers: list[tuple[int, BinaryIO]] = []
+        try:
+            for start, end in zip(cuts, ends[1:]):
+                workers.append(_fork(send, start, end))
+            parse(handle, ends[0], 2, seen)
+            for pid, reader in workers:
+                try:
+                    theirs, error = pickle.load(reader)
+                    for word, lineno in theirs.items():
+                        admit(seen, lineno, word)
+                    if error is not None:
+                        raise ParseError(error)
+                    block = rows[len(seen) - len(theirs) : len(seen)]
+                    if reader.readinto(block) != block.nbytes:
+                        raise EOFError
+                except (EOFError, pickle.UnpicklingError):
+                    workers.remove((pid, reader))
+                    reader.close()
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise ChildProcessError(
+                        f"{path}: parse worker exited with status {status} before sending its rows"
+                    ) from None
+        finally:
+            for pid, reader in workers:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         if len(seen) != declared:
             raise ParseError(f"{path}: header declares {declared} rows, found {len(seen)}")
     return EmbeddingSet(words=tuple(seen), vectors=rows)
+
+
+def _cuts(handle: BinaryIO) -> list[int]:
+    """Line starts that split the rest of handle into up to worker_count() ranges of _MIN_RANGE_BYTES or more."""
+    if not handle.seekable():  # a pipe is read once, front to back
+        return []
+    start, size = handle.tell(), os.fstat(handle.fileno()).st_size
+    parts = min(worker_count(), (size - start) // _MIN_RANGE_BYTES)
+    cuts: set[int] = set()
+    for part in range(1, parts):
+        handle.seek(start + part * (size - start) // parts - 1)
+        handle.readline()
+        cuts.add(handle.tell())
+    handle.seek(start)
+    return sorted(cuts - {size})
+
+
+def _fork(work: Callable[..., None], *args) -> tuple[int, BinaryIO]:
+    """Run work(*args, out) in a forked child that writes to a pipe; return its pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid, code = None, 1
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks, as OpenBLAS's
+            # do.  The child calls no BLAS, and OpenBLAS has its own atfork handlers.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            with open(write_fd, "wb") as out:
+                work(*args, out)
+            code = 0
+    finally:
+        if pid == 0:
+            # Whatever happened, the child never unwinds into its caller's stack.
+            os._exit(code)
+        os.close(write_fd)
+        if pid is None:
+            os.close(read_fd)
+    return pid, open(read_fd, "rb")
 
 
 def _parse_numbers(lines: list[bytes], dim: int) -> np.ndarray | None:
@@ -243,7 +351,14 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     dropped = [words[i] for i in zero]
     if dropped:
         skip = set(dropped)
-        words, vectors = tuple(w for w in words if w not in skip), np.delete(vectors, zero, axis=0)
+        keep = np.delete(np.arange(len(words)), zero)
+        # Compact in place, a heap-sized block at a time: each block is gathered
+        # before it is written, from rows at or after it.
+        step = max(1, _PARSE_BLOCK_BYTES // (8 * vectors.shape[1]))
+        for start in range(int(zero[0]), len(keep), step):
+            block = keep[start : start + step]
+            vectors[start : start + len(block)] = vectors[block]
+        words, vectors = tuple(w for w in words if w not in skip), vectors[: len(keep)]
     return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
 
 

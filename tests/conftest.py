@@ -1,7 +1,8 @@
-"""Shared test utilities: deterministic random fixtures, a .vec writer and a CI profile."""
+"""Shared test utilities: deterministic random fixtures, a .vec writer, a CI profile and a child-process guard."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,15 @@ def small_embedding(rng) -> EmbeddingSet:
     vectors = rng.standard_normal((30, 6))
     words = tuple(f"w{i}" for i in range(30))
     return EmbeddingSet(words=words, vectors=vectors)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = "a child process is still running" if pid == 0 else f"child process {pid} was never reaped"
+    pytest.fail(f"the test left {left}")

@@ -1,6 +1,8 @@
 """Vector file parsing, normalization, tokenization, and count tables."""
 
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +30,14 @@ finite_floats = st.floats(
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def parse_in_ranges(patch, workers):
+    """Split every .vec body, however small, into up to `workers` byte ranges."""
+    # TPS_THREADS is capped at the CPU count.
+    patch.setenv("TPS_THREADS", str(workers))
+    patch.setattr(os, "cpu_count", lambda: workers)
+    patch.setattr(embeddings, "_MIN_RANGE_BYTES", 1)
 
 
 class TestLoadVecFile:
@@ -258,6 +268,68 @@ def test_load_vec_file_matches_the_reference_for_every_block_size(tmp_path_facto
         assert_loads_as_the_reference(write(tmp_path_factory.mktemp("vec") / "v.vec", text))
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+@given(text=vec_texts())
+def test_load_vec_file_matches_the_reference_in_byte_ranges(tmp_path_factory, workers, text):
+    # At 8 workers most ranges hold one line.
+    with pytest.MonkeyPatch.context() as patch:
+        parse_in_ranges(patch, workers)
+        assert_loads_as_the_reference(write(tmp_path_factory.mktemp("vec") / "v.vec", text))
+
+
+# Rows of one length: at 2 workers the body splits after its second row, at 3
+# after its second and fourth.
+@pytest.mark.parametrize(
+    "workers, text, error",
+    [
+        (2, "4 1\na 1\nb 1\na 1\nc 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
+        (3, "6 1\na 1\nb 1\nc 1\nd 1\nc 1\ne 1\n", ":6: duplicate word 'c' (first seen on line 4)"),
+        (2, "3 1\na 1\nb 1\nc 1\nd 1\n", ":5: more rows than the declared 3"),
+        (3, "3 1\na 1\nb 1\nc 1\nd 1\ne 1\nf 1\n", ":5: more rows than the declared 3"),
+        (2, "4 1\na 1\nb 1\na 1\nc x\n", ":4: duplicate word 'a' (first seen on line 2)"),
+        (3, "6 1\na 1\nb 1\nc x\nd 1\ne 1\nf x\n", ":4: unparseable number in row for 'c'"),
+        (2, "4 1\na 1\nb 1\na x\nc 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
+        (2, "4 1\na 1\nb 1\na inf\nc 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
+        (2, "2 1\na 1\nb 1\nc x\nd 1\n", ":4: more rows than the declared 2"),
+        (2, "4 1\na 1\nb 1\na 1 2\nc 1\n", ":4: expected 1 components for 'a', got 2"),
+        (2, "4 1\na 1\nb 1\nc 1\nd 1\n", None),
+    ],
+)
+def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers, text, error):
+    path = write(tmp_path / "v.vec", text)
+    fork, forks = embeddings._fork, []
+    monkeypatch.setattr(embeddings, "_fork", lambda *args: forks.append(args) or fork(*args))
+    parse_in_ranges(monkeypatch, workers)
+    if error is None:
+        assert load_vec_file(path).words == ("a", "b", "c", "d")
+    else:
+        with pytest.raises(ParseError) as raised:
+            load_vec_file(path)
+        assert str(raised.value) == f"{path}{error}"
+    assert len(forks) == workers - 1
+
+
+@pytest.mark.parametrize("end", ["exit", "raise", "kill"])
+def test_worker_that_dies_names_the_file(tmp_path, monkeypatch, end):
+    path = write(tmp_path / "v.vec", "4 1\na 1\nb 1\nc 1\nd 1\n")
+    parse, parent = embeddings._parse_numbers, os.getpid()
+
+    def dying(lines, dim):
+        if os.getpid() != parent:
+            if end == "exit":
+                os._exit(3)
+            if end == "raise":
+                raise MemoryError
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse(lines, dim)
+
+    monkeypatch.setattr(embeddings, "_parse_numbers", dying)
+    parse_in_ranges(monkeypatch, 2)
+    status = {"exit": 3, "raise": 1, "kill": -9}[end]
+    with pytest.raises(ChildProcessError, match=f"^{path}: parse worker exited with status {status} "):
+        load_vec_file(path)
+
+
 @pytest.mark.parametrize("shape", [(20_000, 100), (3, 20_000)], ids=["20000x100", "3x20000"])
 def test_each_parse_result_stays_under_the_mmap_threshold(tmp_path, monkeypatch, shape):
     # glibc maps allocations of 128 KiB and more, and freeing one raises its
@@ -267,17 +339,26 @@ def test_each_parse_result_stays_under_the_mmap_threshold(tmp_path, monkeypatch,
     path = tmp_path / "v.vec"
     lines = [f"{shape[0]} {shape[1]}"] + [f"w{i} " + " ".join(map(str, row)) for i, row in enumerate(values.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    loadtxt, results = np.loadtxt, []
+    loadtxt, log = np.loadtxt, tmp_path / "results.txt"
 
     def recording(*args, **kwargs):
-        results.append(loadtxt(*args, **kwargs))
-        return results[-1]
+        result = loadtxt(*args, **kwargs)
+        # Forked workers log too; each short append is one write.
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {len(result)} {result.nbytes}\n")
+        return result
 
     monkeypatch.setattr(np, "loadtxt", recording)
-    emb = load_vec_file(path)
-    assert emb.vectors.tobytes() == values.astype(np.float64).tobytes()
-    assert sum(len(result) for result in results) == shape[0]
-    assert all(result.nbytes <= 128 * 1024 or len(result) == 1 for result in results)
+    for workers in (1, 2):
+        log.write_text("")
+        with pytest.MonkeyPatch.context() as patch:
+            parse_in_ranges(patch, workers)
+            emb = load_vec_file(path)
+        assert emb.vectors.tobytes() == values.astype(np.float64).tobytes()
+        results = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len({pid for pid, _, _ in results}) == workers
+        assert sum(rows for _, rows, _ in results) == shape[0]
+        assert all(nbytes <= 128 * 1024 or rows == 1 for _, rows, nbytes in results)
 
 
 def test_load_unit_vectors_normalizes_the_parsed_buffer(tmp_path, monkeypatch):
@@ -292,6 +373,24 @@ def test_load_unit_vectors_normalizes_the_parsed_buffer(tmp_path, monkeypatch):
     assert dropped == []
     assert np.shares_memory(emb.vectors, parsed[0].vectors)
     assert not emb.vectors.flags.writeable
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_load_unit_vectors_drops_zero_rows_in_the_parsed_buffer(tmp_path, monkeypatch, block):
+    original, parsed = embeddings.load_vec_file, []
+
+    def capture(path):
+        parsed.append(original(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(embeddings, "load_vec_file", capture)
+    monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * 2)
+    text = "6 2\na 3 4\nz 0 0\nb 0 2\nc 1 0\ny 0 0\nd 0 5\n"
+    emb, dropped = load_unit_vectors(write(tmp_path / "v.vec", text))
+    assert dropped == ["z", "y"]
+    assert emb.words == ("a", "b", "c", "d")
+    assert emb.vectors.tolist() == [[0.6, 0.8], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    assert np.shares_memory(emb.vectors, parsed[0].vectors)
 
 
 @pytest.mark.parametrize("block", [1, 3, 23])
