@@ -1,4 +1,4 @@
-"""Shared plumbing: parse errors, UTF-8 line reads, atomic file and CSV writes, worker pool and chunk sizing."""
+"""Shared plumbing: parse errors, UTF-8 line reads, atomic file and CSV writes, worker pool, chunk sizing and spanning forests."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import os
 import secrets
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -104,3 +106,48 @@ def atomic_write_csv(path: str | os.PathLike, header: Sequence[str], rows: Itera
     writer.writerow(header)
     writer.writerows(rows)
     atomic_write_text(path, buffer.getvalue())
+
+
+def spanning_forest(count: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kruskal's forest of the edges (heads[i], tails[i]) taken in list order, by Borůvka rounds.
+
+    Returns ``(kept, root)``: whether each edge is in the forest, and for
+    each of the `count` vertices a root that exactly the vertices of its
+    component share.  Each round, every component hooks onto another along
+    its first edge in list order.  Positions order the edges totally, so the
+    hooks form no cycle but a pair of components hooked onto each other
+    along one edge, whose lower end stays a root, and each round at least
+    halves the components that have an edge out.  Pointer jumping then
+    halves every hook path per step: a chain of any length takes
+    O(log count) steps.
+    """
+    size = heads.shape[0]
+    kept = np.zeros(size, dtype=bool)
+    root = np.arange(count, dtype=np.int32)
+    live = np.arange(size, dtype=np.int32)
+    ends = heads, tails
+    while True:
+        between = ends[0] != ends[1]
+        if not between.all():
+            live, ends = live[between], (ends[0][between], ends[1][between])
+        if live.size == 0:
+            return kept, root
+        first = np.full(count, size, dtype=np.int32)
+        np.minimum.at(first, ends[0], live)
+        np.minimum.at(first, ends[1], live)
+        comps = np.flatnonzero(first < size).astype(np.int32)
+        edges = first[comps]
+        kept[edges] = True
+        near, far = root[heads[edges]], root[tails[edges]]
+        targets = np.where(near == comps, far, near)
+        parent = np.arange(count, dtype=np.int32)
+        parent[comps] = targets
+        mutual = comps[(parent[targets] == comps) & (comps < targets)]
+        parent[mutual] = mutual
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        root = parent[root]
+        ends = parent[ends[0]], parent[ends[1]]

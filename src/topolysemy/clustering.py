@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from ._util import chunk_rows
+from ._util import chunk_rows, spanning_forest
 
 NOISE = -1
 
@@ -166,13 +164,12 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     if core_idx.size == 0:
         return Clustering(labels=labels, n_clusters=0)
 
-    # Non-core points are singletons here; only the core points' ids are read.
+    # Non-core points are singletons here; only the core points' roots are read.
     row_core, col_core = core[rows], core[cols]
     both = row_core & col_core
-    core_graph = coo_matrix((np.ones(both.sum(), dtype=np.int8), (rows[both], cols[both])), shape=(n, n))
-    _, raw_comp = connected_components(core_graph, directed=False)
+    _, root = spanning_forest(n, rows[both], cols[both])
     # Contiguous ids ordered by each component's smallest core index.
-    _, first, inverse = np.unique(raw_comp[core_idx], return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(root[core_idx], return_index=True, return_inverse=True)
     labels[core_idx] = np.argsort(np.argsort(first))[inverse]
 
     # Each core/non-core pair offers its core to the non-core point.

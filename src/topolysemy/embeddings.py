@@ -349,16 +349,20 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     vectors.setflags(write=True)
     zero = _normalize_rows(vectors)
     dropped = [words[i] for i in zero]
-    if dropped:
-        skip = set(dropped)
-        keep = np.delete(np.arange(len(words)), zero)
-        # Compact in place, a heap-sized block at a time: each block is gathered
-        # before it is written, from rows at or after it.
-        step = max(1, _PARSE_BLOCK_BYTES // (8 * vectors.shape[1]))
-        for start in range(int(zero[0]), len(keep), step):
-            block = keep[start : start + step]
-            vectors[start : start + len(block)] = vectors[block]
-        words, vectors = tuple(w for w in words if w not in skip), vectors[: len(keep)]
+    if not dropped:
+        # Its words and index are checked already, and its rows are now unit.
+        vectors.setflags(write=False)
+        object.__setattr__(embeddings, "normalized", True)
+        return embeddings, dropped
+    skip = set(dropped)
+    keep = np.delete(np.arange(len(words)), zero)
+    # Compact in place, a heap-sized block at a time: each block is gathered
+    # before it is written, from rows at or after it.
+    step = max(1, _PARSE_BLOCK_BYTES // (8 * vectors.shape[1]))
+    for start in range(int(zero[0]), len(keep), step):
+        block = keep[start : start + step]
+        vectors[start : start + len(block)] = vectors[block]
+    words, vectors = tuple(w for w in words if w not in skip), vectors[: len(keep)]
     return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
 
 

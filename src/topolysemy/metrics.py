@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from ._util import atomic_write_csv
 from .wsi import SenseKey
@@ -142,6 +141,9 @@ def pearson_with_p(x: Sequence[float], y: Sequence[float]) -> PearsonResult:
     r = float((xc * yc).sum() / denom)
     r = max(-1.0, min(1.0, r))
     if 1.0 - r * r > 0.0:
+        # Imported here: only correlate needs it, and scipy.special is slow to load.
+        from scipy.special import stdtr
+
         t = r * math.sqrt((m - 2) / (1.0 - r * r))
         p = float(2.0 * stdtr(m - 2, -abs(t)))
     else:

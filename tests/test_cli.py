@@ -611,6 +611,27 @@ def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
     assert fresh_python("-c", code).stdout == "[]\n"
 
 
+def test_tps_and_wsi_run_without_loading_scipy(planted_files, tmp_path):
+    # A second target makes the percentile table of --k auto non-degenerate.
+    instances = tmp_path / "two.jsonl"
+    instances.write_text(
+        planted_files["instances"].read_text() + '{"target": "b0w0.n", "id": "b0w0.1", "tokens": ["b0w1"]}\n'
+    )
+    wsi = ["wsi", "--vectors", planted_files["vectors"], "--instances", instances, "--n", "48"]
+    runs = [
+        ["tps", "--vectors", planted_files["vectors"], "--all", "--n", "10", "--out", tmp_path / "tps.csv"],
+        [*wsi, "--backend", "dbscan", "--out", tmp_path / "dbscan.key"],
+        [*wsi, "--backend", "kmeans", "--k", "auto", "--tps-n", "10", "--out", tmp_path / "kmeans.key"],
+    ]
+    code = (
+        "import json, sys; from topolysemy.cli import main; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = fresh_python("-c", code, json.dumps([[str(arg) for arg in argv] for argv in runs]))
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
 def test_every_command_closes_its_files_in_dev_mode(planted_files, tmp_path):
     words, counts = tmp_path / "words.txt", tmp_path / "counts.tsv"
     listed = planted_files["data"].embeddings.words[:6]

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import random_unit_rows
 from test_neighborhood import UNIT
@@ -183,6 +185,74 @@ def test_dbscan_matches_plain_python_reference(case):
     assert np.array_equal(found, adjacency)
     assert result.labels.tolist() == labels
     assert result.n_clusters == n_clusters
+
+
+def scipy_component_labels(points, eps, min_pts):
+    """dbscan labels with the core components from scipy's connected_components.
+
+    The same id and border rules as dbscan, over the same eps pairs; only the
+    components come from elsewhere.
+    """
+    n = points.shape[0]
+    rows, cols = _eps_pairs(points, eps)
+    core = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n) >= min_pts
+    core_idx = np.flatnonzero(core)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    if core_idx.size == 0:
+        return labels
+    both = core[rows] & core[cols]
+    graph = coo_matrix((np.ones(both.sum(), dtype=np.int8), (rows[both], cols[both])), shape=(n, n))
+    _, components = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(components[core_idx], return_index=True, return_inverse=True)
+    labels[core_idx] = np.argsort(np.argsort(first))[inverse]
+    for i in np.flatnonzero(~core):
+        near = np.concatenate([cols[rows == i], rows[cols == i]])
+        near = near[core[near]]
+        if near.size:
+            labels[i] = labels[near.min()]
+    return labels
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
+@pytest.mark.parametrize("min_pts", [1, 2, 4])
+def test_dbscan_labels_match_scipy_components_on_random_clouds(rng, eps, min_pts):
+    for _ in range(4):
+        # Tight groups around a few centers, so that clusters, borders and noise all occur.
+        centers = random_unit_rows(rng, 6, 5)
+        points = centers[rng.integers(0, 6, 150)] + 0.15 * rng.standard_normal((150, 5))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        result = dbscan(points, eps=eps, min_pts=min_pts)
+        assert np.array_equal(result.labels, scipy_component_labels(points, eps, min_pts))
+
+
+class CountingNumpy:
+    """numpy, counting the convergence checks of spanning_forest's pointer jumping."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array_equal(self, *args):
+        self.checks += 1
+        return np.array_equal(*args)
+
+
+def test_chain_of_5000_points_is_one_cluster_in_log_n_jumps(monkeypatch):
+    # Consecutive points on a circle are 1e-3 rad apart, so the eps graph is one path.
+    n = 5000
+    points = unit_circle(np.rad2deg(1e-3 * np.arange(n)))
+    eps = 1.0 - np.cos(1.5e-3)
+    counting = CountingNumpy()
+    monkeypatch.setattr(_util, "np", counting)
+    result = dbscan(points, eps=eps, min_pts=2)
+    rows, cols = _eps_pairs(points, eps)
+    assert rows.tolist() == list(range(n - 1)) and cols.tolist() == list(range(1, n))
+    assert np.array_equal(result.labels, scipy_component_labels(points, eps, 2))
+    assert result.n_clusters == 1
+    # Label propagation would take a step per link; pointer jumping halves the chain per step.
+    assert counting.checks <= 2 * n.bit_length()
 
 
 @pytest.mark.parametrize("dim", [7, 100])

@@ -375,6 +375,22 @@ def test_load_unit_vectors_normalizes_the_parsed_buffer(tmp_path, monkeypatch):
     assert not emb.vectors.flags.writeable
 
 
+def test_load_unit_vectors_keeps_the_parsed_set_without_zero_rows(tmp_path, monkeypatch):
+    original, parsed = embeddings.load_vec_file, []
+
+    def capture(path):
+        parsed.append(original(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(embeddings, "load_vec_file", capture)
+    emb, dropped = load_unit_vectors(write(tmp_path / "v.vec", "2 2\na 3 4\nb 0 2\n"))
+    # No second set: its words, index and finiteness check would repeat the parse's.
+    assert emb is parsed[0]
+    assert emb.normalized
+    assert emb.row("b") == 1
+    assert emb.vectors.tolist() == [[0.6, 0.8], [0.0, 1.0]]
+
+
 @pytest.mark.parametrize("block", [1, 2])
 def test_load_unit_vectors_drops_zero_rows_in_the_parsed_buffer(tmp_path, monkeypatch, block):
     original, parsed = embeddings.load_vec_file, []

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import single_linkage_merge_heights, wasserstein_by_enumeration
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from conftest import random_cloud, random_diagram_bars
 from topolysemy import degree0_diagram, wasserstein_distance, wasserstein_norm
-from topolysemy.persistence import PersistenceDiagram
+from topolysemy import _util, persistence
+from topolysemy.persistence import PersistenceDiagram, _candidates
 
 
 def diagram(bars):
@@ -78,6 +82,106 @@ class TestDegree0Diagram:
             scaled = degree0_diagram(lam * points)
             assert np.array_equal(scaled.deaths, lam * base.deaths)
             assert wasserstein_norm(scaled) == lam * wasserstein_norm(base)
+
+
+def linkage_deaths(points):
+    # What linkage(points, "single") computes, without its check that a square input is not a distance matrix.
+    return np.sort(linkage(pdist(points), "single")[:, 2])
+
+
+def projected(rng, m, d):
+    """A cloud as tps scores it: offsets from a center, scaled to the unit sphere."""
+    offsets = rng.standard_normal((m, d)) - rng.standard_normal(d)
+    return offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
+
+
+@st.composite
+def tie_heavy_clouds(draw):
+    """Clouds with duplicate rows and exact distance ties, and sphere-projected ones."""
+    m = draw(st.integers(2, 64))
+    d = draw(st.sampled_from([1, 2, 16, 100]))
+    kind = draw(st.sampled_from(["lattice", "simplex", "duplicates", "projected"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        return rng.integers(-2, 3, size=(m, d)).astype(float)
+    if kind == "simplex":
+        # Vertices of a regular simplex, scaled, with repeats: every distinct pair ties.
+        return 3.0 * np.eye(d)[rng.integers(0, d, m)]
+    points = projected(rng, m, d)
+    if kind == "duplicates":
+        points[rng.integers(0, m, m // 2)] = points[rng.integers(0, m, m // 2)]
+    return points
+
+
+class TestExactAgainstLinkage:
+    @settings(max_examples=200)
+    @given(tie_heavy_clouds())
+    def test_deaths_are_linkage_heights_bit_for_bit(self, points):
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    def test_a_thousand_point_projected_cloud(self):
+        points = projected(np.random.default_rng(17), 1000, 100)
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    @pytest.mark.parametrize("shape", ["simplex", "lattice"])
+    def test_ties_give_more_candidates_than_tree_edges(self, shape):
+        if shape == "simplex":
+            points = np.eye(12)
+        else:
+            points = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+        m = points.shape[0]
+        assert _candidates(points)[0].size > m - 1
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_near_ties_that_the_gram_product_reorders(self, seed):
+        # A rotated regular simplex moved by 1e-15: its pairwise distances differ by less than
+        # the Gram product's error, so only the 2 delta margin keeps the true MST's edges.
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+        points = 3.0 * basis[:12] + 1e-15 * rng.standard_normal((12, 100))
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    @settings(max_examples=100)
+    @given(tie_heavy_clouds(), st.sampled_from([0, 1]), st.sampled_from([1, 3, None]))
+    def test_boruvka_rounds_join_what_the_scan_leaves(self, points, per_point, block):
+        # With at most m or no pairs to scan, Borůvka rounds build most or all of the tree;
+        # the matrix is also read in blocks of 1 or 3 rows.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persistence, "_SCAN_PER_POINT", per_point)
+            if block:
+                patch.setattr(_util, "CHUNK_ELEMENTS", block * points.shape[0])
+            assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    @pytest.mark.parametrize("shape", ["separated", "uniform"])
+    def test_clouds_the_scan_cannot_span(self, shape, monkeypatch):
+        rng = np.random.default_rng(5)
+        if shape == "separated":
+            # The largest nearest-neighbor distance falls short of the gap between the groups.
+            points = np.concatenate([rng.standard_normal((30, 3)), 50.0 + rng.standard_normal((30, 3))])
+        else:
+            # More pairs lie below the largest nearest-neighbor distance than the scan takes.
+            points = rng.standard_normal((600, 100))
+        rounds = []
+        spanning = persistence.spanning_forest
+        monkeypatch.setattr(persistence, "spanning_forest", lambda *args: rounds.append(1) or spanning(*args))
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+        assert rounds
+
+    def test_points_beyond_the_square_root_of_the_largest_float(self):
+        # Moved to its first point the cloud is small, and its bars are exact.
+        close = np.array([[1e200, 0.0], [1e200, 1.0], [1e200, 3.0]])
+        assert np.array_equal(degree0_diagram(close).deaths, linkage_deaths(close))
+        # A squared distance that overflows gives an infinite death, which the bars reject.
+        with pytest.raises(ValueError, match="non-finite"):
+            degree0_diagram(np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]]))
+
+    def test_sums_run_in_dimension_order_for_a_single_pair(self):
+        # numpy's reduce sums these 16 squares pairwise and lands one ulp off pdist.
+        points = np.random.default_rng(3).standard_normal((2, 16))
+        squares = (points[0] - points[1]) ** 2
+        assert np.sqrt(np.add.reduce(squares[None, :], axis=1))[0] != linkage_deaths(points)[0]
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
 
 
 class TestDiagramValidation:

@@ -1,11 +1,13 @@
-"""Shared plumbing: atomic writes and the worker cap."""
+"""Shared plumbing: atomic writes, the worker cap and spanning forests."""
 
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from topolysemy._util import THREADS_ENV, atomic_write_text, worker_count
+from topolysemy._util import THREADS_ENV, atomic_write_text, spanning_forest, worker_count
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
@@ -48,3 +50,36 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, threads, cpus, cap
         monkeypatch.setenv(THREADS_ENV, threads)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert worker_count() == cap
+
+
+def kruskal_by_hand(count, edges):
+    """Plain-Python Kruskal in list order: (kept flags, component of each vertex as a frozenset)."""
+    component = {v: frozenset([v]) for v in range(count)}
+    kept = []
+    for a, b in edges:
+        joins = component[a] != component[b]
+        kept.append(joins)
+        if joins:
+            merged = component[a] | component[b]
+            for v in merged:
+                component[v] = merged
+    return kept, component
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda count: st.tuples(
+            st.just(count),
+            st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)), max_size=60),
+        )
+    )
+)
+def test_spanning_forest_is_kruskal_in_list_order(case):
+    count, edges = case
+    heads = np.array([a for a, _ in edges], dtype=np.int32)
+    tails = np.array([b for _, b in edges], dtype=np.int32)
+    kept, root = spanning_forest(count, heads, tails)
+    expected_kept, component = kruskal_by_hand(count, edges)
+    assert kept.tolist() == expected_kept
+    for v in range(count):
+        assert {w for w in range(count) if root[w] == root[v]} == component[v]
