@@ -38,10 +38,8 @@ _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Smallest byte range of a .vec body worth a forked parse worker; smaller
 # files are parsed in this process alone.
 _MIN_RANGE_BYTES = 1 << 20
-# Reads that count newlines stay this small, so they leave peak RSS alone.
-_SCAN_BYTES = 1 << 20
 
-_COUNT_RE = re.compile(r"\d+")
+_COUNT_RE = re.compile(r"[0-9]+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
 _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
@@ -61,22 +59,21 @@ class EmbeddingSet:
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        words = tuple(self.words)
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-d matrix, got shape {vectors.shape}")
-        if len(self.words) != vectors.shape[0]:
-            raise ValueError(
-                f"{len(self.words)} words but {vectors.shape[0]} vector rows"
-            )
+        if len(words) != vectors.shape[0]:
+            raise ValueError(f"{len(words)} words but {vectors.shape[0]} vector rows")
         if vectors.size and not np.isfinite(vectors).all():
             raise ValueError("vectors contain non-finite components")
-        index: dict[str, int] = {}
-        for position, word in enumerate(self.words):
-            if word in index:
-                raise ValueError(f"duplicate word {word!r}")
-            index[word] = position
+        index = dict(zip(words, range(len(words))))
+        if len(index) < len(words):
+            seen: set[str] = set()
+            # The earliest second occurrence: a b b a names b.
+            raise ValueError(f"duplicate word {next(w for w in words if w in seen or seen.add(w))!r}")
         vectors.setflags(write=False)
-        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "words", words)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_index", index)
 
@@ -108,8 +105,8 @@ def load_vec_file(path) -> EmbeddingSet:
     words, or a row count that contradicts the header.
 
     The rows are parsed in up to worker_count() newline-aligned byte ranges,
-    all but the first in forked worker processes; the error raised is still
-    the first in file order.  A worker that dies raises ChildProcessError.
+    all but the first in forked workers; any error is raised by parsing the
+    body again in this process.  A worker that dies raises ChildProcessError.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -137,16 +134,6 @@ def load_vec_file(path) -> EmbeddingSet:
                 "of float64, more than can be allocated"
             ) from None
 
-        def admit(seen: dict[str, int], lineno: int, word: str) -> None:
-            """Add word's line to seen, or raise the duplicate or surplus-row error it makes."""
-            if word in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
-                )
-            if len(seen) == declared:
-                raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
-            seen[word] = lineno
-
         def add(seen: dict[str, int], block: list[tuple[int, bytes, bytes]]) -> None:
             """Check and store a block of split lines after seen's rows; raise the first error in file order."""
             values = _parse_numbers([rest for _, _, rest in block], dim)
@@ -167,7 +154,13 @@ def load_vec_file(path) -> EmbeddingSet:
                     raise ParseError(
                         f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(rest.split())}"
                     )
-                admit(seen, lineno, word)
+                if word in seen:
+                    raise ParseError(
+                        f"{path}:{lineno}: duplicate word {word!r} (first seen on line {seen[word]})"
+                    )
+                if len(seen) == declared:
+                    raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
+                seen[word] = lineno
                 if row_finite is None:
                     raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
                 if not row_finite:
@@ -175,11 +168,11 @@ def load_vec_file(path) -> EmbeddingSet:
             # A line parsed alone is a 1 x dim matrix.
             rows[start : len(seen)] = np.reshape(values, (-1, dim))
 
-        def parse(handle: BinaryIO, end: int | None, lineno: int, seen: dict[str, int]) -> None:
-            """Check and store handle's lines, the first numbered lineno, up to offset end or EOF."""
+        def parse(handle: BinaryIO, end: int | None, seen: dict[str, int]) -> None:
+            """Check and store handle's lines, numbered from 2, up to offset end or EOF."""
             step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
             block: list[tuple[int, bytes, bytes]] = []
-            for lineno, line in enumerate(handle, start=lineno):
+            for lineno, line in enumerate(handle, start=2):
                 fields = line.split(None, 1)
                 if fields:
                     block.append((lineno, fields[0], fields[1] if len(fields) == 2 else b""))
@@ -192,38 +185,36 @@ def load_vec_file(path) -> EmbeddingSet:
                 add(seen, block)
 
         def send(start: int, end: int | None, out: BinaryIO) -> None:
-            """In a worker: parse the range [start, end), send its words and first error, then its rows."""
+            """In a worker: parse [start, end), then send its words and rows, or None for an error."""
+            seen: dict[str, int] = {}
             with open(path, "rb") as own:
-                own.seek(len(header))
-                lineno = 2
-                for offset in range(len(header), start, _SCAN_BYTES):
-                    lineno += own.read(min(_SCAN_BYTES, start - offset)).count(b"\n")
-                seen: dict[str, int] = {}
+                own.seek(start)
                 try:
-                    parse(own, end, lineno, seen)
-                    error = None
-                except ParseError as err:
-                    error = str(err)
-            pickle.dump((seen, error), out)
-            if error is None:
-                out.write(rows[: len(seen)])
+                    # Lines are numbered from 2 here too, but a number only names an error, which stays here.
+                    parse(own, end, seen)
+                except ParseError:
+                    pickle.dump(None, out)
+                    return
+            pickle.dump(list(seen), out)
+            out.write(rows[: len(seen)])
 
         cuts = _cuts(handle)
         ends = [*cuts, None]
         seen: dict[str, int] = {}
         workers: list[tuple[int, BinaryIO]] = []
+        serial = False
         try:
             for start, end in zip(cuts, ends[1:]):
                 workers.append(_fork(send, start, end))
-            parse(handle, ends[0], 2, seen)
+            parse(handle, ends[0], seen)
             for pid, reader in workers:
                 try:
-                    theirs, error = pickle.load(reader)
-                    for word, lineno in theirs.items():
-                        admit(seen, lineno, word)
-                    if error is not None:
-                        raise ParseError(error)
-                    block = rows[len(seen) - len(theirs) : len(seen)]
+                    theirs = pickle.load(reader)
+                    # Their range holds an error, or their words repeat or overflow those before them.
+                    serial = theirs is None or len(seen) + len(theirs) > declared or not seen.keys().isdisjoint(theirs)
+                    if serial:
+                        break
+                    block = rows[len(seen) : len(seen) + len(theirs)]
                     if reader.readinto(block) != block.nbytes:
                         raise EOFError
                 except (EOFError, pickle.UnpicklingError):
@@ -233,11 +224,17 @@ def load_vec_file(path) -> EmbeddingSet:
                     raise ChildProcessError(
                         f"{path}: parse worker exited with status {status} before sending its rows"
                     ) from None
+                seen.update(dict.fromkeys(theirs, 0))  # a line number past the first range is never named
         finally:
             for pid, reader in workers:
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if serial:
+            # With the workers gone, one pass in this process names the first error in file order, with its line.
+            seen.clear()
+            handle.seek(len(header))
+            parse(handle, None, seen)
         if len(seen) != declared:
             raise ParseError(f"{path}: header declares {declared} rows, found {len(seen)}")
     return EmbeddingSet(words=tuple(seen), vectors=rows)

@@ -170,6 +170,8 @@ def load_tps_csv(path) -> list[TpsReport]:
             score = float(raw_score)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: unparseable row {row!r}") from None
+        if not (raw_n.isascii() and raw_n.isdigit() and n > 0):
+            raise ParseError(f"{path}:{lineno}: n for {word!r} must be a positive integer, got {raw_n!r}")
         if not math.isfinite(score) or score < 0.0:
             raise ParseError(f"{path}:{lineno}: invalid score for {word!r}")
         seen.add(word)

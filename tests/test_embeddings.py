@@ -330,6 +330,28 @@ def test_worker_that_dies_names_the_file(tmp_path, monkeypatch, end):
         load_vec_file(path)
 
 
+def test_an_error_in_a_workers_range_is_named_by_the_calling_process(tmp_path, monkeypatch):
+    # At 2 workers the body splits after its second row, so line 4 is the worker's.
+    path = write(tmp_path / "v.vec", "4 1\na 1\nb 1\nc x\nd 1\n")
+    parse, parent, log = embeddings._parse_numbers, os.getpid(), tmp_path / "calls.txt"
+
+    def recording(lines, dim):
+        # Forked workers log too; each short append is one write.
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {b''.join(lines)!r}\n")
+        return parse(lines, dim)
+
+    monkeypatch.setattr(embeddings, "_parse_numbers", recording)
+    parse_in_ranges(monkeypatch, 2)
+    with pytest.raises(ParseError) as raised:
+        load_vec_file(path)
+    assert str(raised.value) == f"{path}:4: unparseable number in row for 'c'"
+    calls = [call.split(" ", 1) for call in log.read_text().splitlines()]
+    lone_x = [int(pid) for pid, lines in calls if lines == "b'x'"]
+    # The worker met line 4 first; the error comes from this process parsing it again.
+    assert lone_x[-1] == parent and len(set(lone_x)) == 2
+
+
 @pytest.mark.parametrize("shape", [(20_000, 100), (3, 20_000)], ids=["20000x100", "3x20000"])
 def test_each_parse_result_stays_under_the_mmap_threshold(tmp_path, monkeypatch, shape):
     # glibc maps allocations of 128 KiB and more, and freeing one raises its
@@ -429,6 +451,9 @@ class TestEmbeddingSet:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingSet(words=("a", "a"), vectors=np.eye(2))
+        # The earliest second occurrence is named.
+        with pytest.raises(ValueError, match=r"^duplicate word 'b'$"):
+            EmbeddingSet(words=("a", "b", "b", "a"), vectors=np.eye(4))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -600,6 +625,16 @@ class TestCountTable:
     def test_non_integer_count(self, tmp_path):
         with pytest.raises(ParseError, match="nonnegative"):
             load_count_table(write(tmp_path / "c.tsv", "x\t1.5\n"))
+
+    # int() reads them as 12 and 3.
+    @pytest.mark.parametrize(
+        "word, count", [("bank", "\u0661\u0662"), ("river", "\uff13")], ids=["arabic-indic", "fullwidth"]
+    )
+    def test_count_is_ascii_digits(self, tmp_path, word, count):
+        path = write(tmp_path / "c.tsv", f"house\t14\n{word}\t{count}\n")
+        with pytest.raises(ParseError) as raised:
+            load_count_table(path)
+        assert str(raised.value) == f"{path}:2: count for {word!r} must be a nonnegative integer, got {count!r}"
 
     def test_duplicate_word(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate"):

@@ -216,6 +216,15 @@ class TestTpsCsv:
         with pytest.raises(ParseError, match="unparseable"):
             load_tps_csv(path)
 
+    # int() reads the first three as -5, 10 and 5.
+    @pytest.mark.parametrize("raw_n", ["-5", "1_0", "\u0665", "0"], ids=["signed", "grouped", "arabic-indic", "zero"])
+    def test_n_is_a_positive_integer_of_ascii_digits(self, tmp_path, raw_n):
+        path = tmp_path / "t.csv"
+        path.write_text(f"word,n,tps\na,50,1.0\nb,{raw_n},1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            load_tps_csv(path)
+        assert str(raised.value) == f"{path}:3: n for 'b' must be a positive integer, got {raw_n!r}"
+
 
 def test_report_rejects_negative_score():
     with pytest.raises(ValueError):
