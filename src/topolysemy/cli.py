@@ -52,6 +52,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -86,7 +96,9 @@ def wsi_options() -> argparse.ArgumentParser:
         help="dbscan core threshold (default %(default)s)",
     )
     options.add_argument("--k", type=_k_value, default=KmeansConfig.k, help="kmeans cluster count, or 'auto'")
-    options.add_argument("--seed", type=int, default=KmeansConfig.seed, help="kmeans seed (default %(default)s)")
+    options.add_argument(
+        "--seed", type=_nonnegative_int, default=KmeansConfig.seed, help="kmeans seed (default %(default)s)"
+    )
     options.add_argument(
         "--tps-n", type=_positive_int, default=KmeansConfig.tps_n,
         help="neighborhood size of the scores behind --k auto (default %(default)s)",

@@ -153,8 +153,9 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     if n == 0:
         raise ValueError("dbscan needs at least one point")
     norms = np.linalg.norm(points, axis=1)
-    if np.abs(norms - 1.0).max() > _UNIT_TOL:
-        raise ValueError("dbscan expects unit-norm rows (cosine distance)")
+    # Written so that a NaN norm fails it.
+    if not np.abs(norms - 1.0).max() <= _UNIT_TOL:
+        raise ValueError("dbscan expects finite unit-norm rows (cosine distance)")
 
     rows, cols = _eps_pairs(points, eps)
     core = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n) >= min_pts
@@ -184,7 +185,10 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
 
 def _squared_distances(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances of points (squared norms point_sq) to centers, clamped at zero."""
-    sq = point_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (points @ centers.T)
+    # Two n x k arrays, not three; (-2p) + (a + b) rounds as (a + b) - 2p does.
+    sq = points @ centers.T
+    sq *= -2.0
+    sq += point_sq[:, None] + (centers * centers).sum(axis=1)[None, :]
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -222,12 +226,17 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
     Each step assigns points to their nearest center (ties to the lowest
     center id); each emptied cluster, in id order, then takes the point
     farthest from its own center (ties to the lowest index) among clusters
-    that keep another member, and the means are recomputed.  Stops at the
-    label fixpoint or after max_iter steps; deterministic for a fixed seed.
+    that keep another member.  Only the clusters that gained or lost a
+    point are then re-averaged: an unchanged member set gives its mean the
+    same bits again, so the result is that of re-averaging every cluster.
+    Stops at the label fixpoint or after max_iter steps; deterministic for a
+    fixed seed.  Points must be finite.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-d matrix, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("kmeans expects finite points")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
@@ -245,9 +254,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
             order = np.argsort(-contributions, kind="stable")
             _, kept = np.unique(step[order][::-1], return_index=True)
             step[np.delete(order, order.size - 1 - kept)[: empty.size]] = empty
-        for c in range(k):
+        # A cluster whose members did not change keeps the bits of its mean.
+        moved = step != labels
+        for c in np.setdiff1d(np.union1d(step[moved], labels[moved]), NOISE):
             centers[c] = points[step == c].mean(axis=0)
-        converged = np.array_equal(step, labels)
+        converged = not moved.any()
         labels = step
         if converged:
             break

@@ -121,6 +121,10 @@ class KmeansConfig:
     seed: int = 0
     tps_n: int = 50
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class OpnConfig:

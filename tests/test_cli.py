@@ -222,6 +222,22 @@ class TestWsiCommand:
         assert exc.value.code == 2
         assert "--eps: expected a positive finite number" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_vectors_load(self, tmp_path, capsys):
+        # The vectors file does not exist, so only the parser can exit 2.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "wsi",
+                    "--vectors", str(tmp_path / "missing.vec"),
+                    "--instances", str(tmp_path / "missing.jsonl"),
+                    "--backend", "kmeans",
+                    "--seed", "-1",
+                    "--out", str(tmp_path / "system.key"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_kmeans_backend_with_fixed_k(self, planted_files, tmp_path):
         out = tmp_path / "system.key"
         rc = self.run_wsi(planted_files, out, extra=("--backend", "kmeans", "--k", "2"))

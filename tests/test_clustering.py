@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import random_unit_rows
 from test_neighborhood import UNIT
-from topolysemy import _util, dbscan, kmeans
+from topolysemy import _util, dbscan, kmeans, pinched_neighborhood_embedding
 from topolysemy.clustering import (
     _UNIT_TOL,
     NOISE,
@@ -107,6 +107,14 @@ class TestDbscan:
     def test_min_pts_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_pts"):
             dbscan(unit_circle([0.0]), min_pts=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_rows_rejected(self, bad, column):
+        points = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        points[1, column] = bad
+        with pytest.raises(ValueError, match="finite unit-norm rows"):
+            dbscan(points, 0.5)
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
@@ -375,6 +383,14 @@ class TestKmeans:
         assert result.converged
         assert set(result.clustering.labels.tolist()) == set(range(k))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_points_rejected(self, bad, column):
+        points = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        points[1, column] = bad
+        with pytest.raises(ValueError, match="finite points"):
+            kmeans(points, 2)
+
     def test_max_iter_must_be_positive(self, rng):
         with pytest.raises(ValueError, match="max_iter"):
             kmeans(rng.standard_normal((6, 2)), 2, max_iter=0)
@@ -431,6 +447,60 @@ def test_kmeans_repair_matches_the_argmax_loop(case):
     assert result.clustering.labels.tolist() == labels.tolist()
     assert result.centers.tobytes() == centers.tobytes()
     assert (result.n_iter, result.converged) == (n_iter, converged)
+
+
+def assert_matches_reference(points, k, seed):
+    labels, centers, n_iter, converged = reference_kmeans(points, k, seed)
+    result = kmeans(points, k, seed=seed)
+    assert np.array_equal(result.clustering.labels, labels)
+    assert result.centers.tobytes() == centers.tobytes()
+    assert result.objective == float(((points - centers[labels]) ** 2).sum())
+    assert (result.n_iter, result.converged) == (n_iter, converged)
+
+
+def planted_caps():
+    """2,000 x 30 rows in 20 planted caps of 100, without the center word."""
+    embedding, _ = pinched_neighborhood_embedding(20, per_cap=100, dim=30, seed=1)
+    return embedding.vectors[1:]
+
+
+@pytest.fixture(scope="module", params=["random", "planted"])
+def scale_cloud(request):
+    if request.param == "random":
+        return random_unit_rows(np.random.default_rng(7), 2000, 30)
+    return planted_caps()
+
+
+# The reference re-averages every cluster at every step; kmeans only those whose members changed.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [2, 17, 100])
+def test_kmeans_matches_the_reference_bits_at_scale(scale_cloud, k, seed):
+    assert_matches_reference(scale_cloud, k, seed)
+
+
+def test_kmeans_matches_the_reference_bits_when_the_repair_runs():
+    # 12 distinct rows repeated: farthest-first must repeat centers, so clusters start empty.
+    rng = np.random.default_rng(11)
+    points = random_unit_rows(rng, 12, 30)[rng.integers(12, size=2000)]
+    k, seed = 17, 0
+    centers = farthest_first_centers(points, k, np.random.default_rng(seed))
+    step = _squared_distances(points, (points * points).sum(axis=1), centers).argmin(axis=1)
+    assert (np.bincount(step, minlength=k) == 0).any()
+    assert_matches_reference(points, k, seed)
+
+
+@pytest.mark.parametrize("k", [1, 17, 100])
+def test_squared_distances_keep_the_bits_of_the_one_line_form(rng, k):
+    centers = rng.standard_normal((k, 30))
+    # Half the rows equal a center.  Each center's copies share one one-line
+    # value, which rounds below zero about as often as above, so with 17 or
+    # more centers the clamp fires.
+    points = np.vstack([rng.standard_normal((1000, 30)), centers[rng.integers(k, size=1000)]])
+    point_sq = (points * points).sum(axis=1)
+    one_line = point_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (points @ centers.T)
+    assert k == 1 or (one_line < 0.0).any()
+    np.maximum(one_line, 0.0, out=one_line)
+    assert _squared_distances(points, point_sq, centers).tobytes() == one_line.tobytes()
 
 
 class TestFarthestFirst:

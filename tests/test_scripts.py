@@ -152,14 +152,15 @@ def test_run_semeval_rejects_an_empty_instances_file_before_writing(tmp_path, mo
 
 
 @pytest.mark.parametrize(
-    "option, expected",
+    "option, value, expected",
     [
-        pytest.param("--k", "a positive integer, got 0", id="--k"),
-        pytest.param("--n", "a positive integer, got 0", id="--n"),
-        pytest.param("--eps", "a positive finite number, got 0.0", id="--eps"),
+        pytest.param("--k", "0", "a positive integer, got 0", id="--k"),
+        pytest.param("--n", "0", "a positive integer, got 0", id="--n"),
+        pytest.param("--eps", "0", "a positive finite number, got 0.0", id="--eps"),
+        pytest.param("--seed", "-1", "a non-negative integer, got -1", id="--seed"),
     ],
 )
-def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, capsys, option, expected):
+def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, capsys, option, value, expected):
     data = planted_two_sense_dataset()
     outdir = tmp_path / "eval"
     run_script(
@@ -167,7 +168,7 @@ def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, ca
         *semeval_inputs(tmp_path, data.embeddings, data),
         "--outdir", str(outdir),
         "--backend", "kmeans",
-        option, "0",
+        option, value,
         code=2,
     )
     err = capsys.readouterr().err

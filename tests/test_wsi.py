@@ -168,6 +168,11 @@ class TestInduceSenses:
         with pytest.raises(ValueError, match="k must be >= 1"):
             induce_senses(emb, "w", 2, KmeansConfig(k=0))
 
+    def test_kmeans_config_rejects_a_negative_seed(self):
+        assert KmeansConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            KmeansConfig(seed=-1)
+
     def test_unknown_target_names_the_lemma(self):
         emb = axis_embedding(["w", "a", "b"])
         with pytest.raises(KeyError, match="ghost"):
@@ -254,6 +259,24 @@ class TestRunOpn:
         assert set(result.senses) == {"b0w0", "pivot.n"}
         pattern = re.compile(r"^(b0w0|pivot\.n)\.sense_\d+$")
         assert all(pattern.match(label) for _, _, label in result.key.rows)
+
+    def test_kmeans_auto_k_key_does_not_depend_on_thread_count(self, monkeypatch):
+        # TPS_THREADS is capped at the CPU count; two CPUs keep two workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data = planted_two_sense_dataset(bundle_size=150)
+        targets = ["pivot.n", "b0w0", "b0w5", "b1w3", "b1w7"]
+        instances = data.instances + tuple(
+            Instance(target=t, id=f"{t}.{i}", tokens=data.instances[i].tokens) for t in targets[1:] for i in (0, 15)
+        )
+        config = OpnConfig(n=200, backend=KmeansConfig(k=None, tps_n=20))
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TPS_THREADS", threads)
+            results.append(run_opn(data.embeddings, instances, config))
+        assert results[0].key == results[1].key
+        assert results[0].senses == results[1].senses
+        # Each target gets its own percentile k, none of them clamped.
+        assert len({len(senses) for senses in results[0].senses.values()}) == len(targets)
 
     def test_raw_set_raises_before_any_work(self, monkeypatch):
         data = planted_two_sense_dataset()
