@@ -10,7 +10,7 @@ Usage:
 import argparse
 
 from topolysemy import count_corpus, save_count_table
-from topolysemy.cli import run
+from topolysemy.cli import nonnegative_int, run
 
 
 def main() -> int:
@@ -18,7 +18,7 @@ def main() -> int:
     parser.add_argument("--corpus", required=True, help="plain-text corpus file")
     parser.add_argument("--out", required=True, help="output TSV path")
     parser.add_argument(
-        "--min-count", type=int, default=1, help="drop words rarer than this (default 1)"
+        "--min-count", type=nonnegative_int, default=1, help="drop words rarer than this (default 1)"
     )
     return run(count, parser.parse_args())
 

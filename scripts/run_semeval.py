@@ -26,7 +26,6 @@ import argparse
 import os
 
 from topolysemy import (
-    PercentileTable,
     load_count_table,
     load_key,
     pearson_with_p,
@@ -38,7 +37,6 @@ from topolysemy import (
     write_key,
 )
 from topolysemy.cli import load_nonempty_instances, load_vectors, opn_config, run, wsi_options
-from topolysemy.wsi import resolve_targets
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,18 +60,16 @@ def evaluate(args: argparse.Namespace) -> int:
     gold = load_key(args.gold_key)
     print(f"{len(embeddings)} vectors, {len(instances)} instances, {len(gold)} gold rows")
 
-    targets = sorted({inst.target for inst in instances})
-    resolved = resolve_targets(embeddings, targets)
-
     result = run_opn(embeddings, instances, opn_config(args))
+    # Targets in run_opn's order, each with the vocabulary entry it resolved to.
+    words = {target: senses.word for target, senses in result.senses.items()}
     # Percentile k (--k auto) already scored the targets at --tps-n.
-    reports = result.reports or tps_batch(embeddings, [resolved[t] for t in targets], n=args.tps_n)
+    reports = result.reports or tps_batch(embeddings, list(words.values()), n=args.tps_n)
     tps_path = os.path.join(args.outdir, "tps.csv")
     save_tps_csv(reports, tps_path)
-    scores = {t: r.score for t, r in zip(targets, reports)}
-    table = PercentileTable(scores=scores)
+    scores = {t: r.score for t, r in zip(words, reports)}
     print(f"scored {len(reports)} targets (n={args.tps_n}) -> {tps_path}")
-    print(f"  score range [{table.tps_min:.3f}, {table.tps_max:.3f}]")
+    print(f"  score range [{min(scores.values()):.3f}, {max(scores.values()):.3f}]")
 
     key_path = os.path.join(args.outdir, "system.key")
     write_key(result.key, key_path)
@@ -88,24 +84,17 @@ def evaluate(args: argparse.Namespace) -> int:
             f"product={row.product:.4f}"
         )
 
-    if args.gold_counts:
-        counts = load_count_table(args.gold_counts)
-        joint = [t for t in targets if t in counts]
-        gold_r = pearson_with_p([scores[t] for t in joint], [float(counts[t]) for t in joint])
-        print(
-            f"score vs gold sense counts: r={gold_r.r:.4f} "
-            f"p={gold_r.p_value:.4g} n={gold_r.n}"
-        )
-    if args.frequencies:
-        freq = load_count_table(args.frequencies)
-        joint = [t for t in targets if resolved[t] in freq]
-        freq_r = pearson_with_p(
-            [scores[t] for t in joint], [float(freq[resolved[t]]) for t in joint]
-        )
-        print(
-            f"score vs corpus frequency:  r={freq_r.r:.4f} "
-            f"p={freq_r.p_value:.4g} n={freq_r.n}"
-        )
+    # Gold sense counts are keyed by target, corpus frequencies by vocabulary word.
+    checks = (
+        (args.gold_counts, "gold sense counts:", {t: t for t in words}),
+        (args.frequencies, "corpus frequency: ", words),
+    )
+    for path, label, entry in checks:
+        if path:
+            counts = load_count_table(path)
+            joint = [t for t in words if entry[t] in counts]
+            r = pearson_with_p([scores[t] for t in joint], [float(counts[entry[t]]) for t in joint])
+            print(f"score vs {label} r={r.r:.4f} p={r.p_value:.4g} n={r.n}")
     return 0
 
 

@@ -21,6 +21,7 @@ from topolysemy import (
     score_keys,
     tps_score,
 )
+from topolysemy.cli import nonnegative_int, positive_int
 
 
 def cap_sweep(trials: int, per_cap: int, seed: int) -> None:
@@ -53,9 +54,9 @@ def planted_wsi() -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--per-cap", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=positive_int, default=20)
+    parser.add_argument("--per-cap", type=positive_int, default=50)
+    parser.add_argument("--seed", type=nonnegative_int, default=0)
     args = parser.parse_args()
     cap_sweep(args.trials, args.per_cap, args.seed)
     planted_wsi()

@@ -24,7 +24,7 @@ from .metrics import paired_fscore, pearson_with_p, save_score_report, score_key
 from .neighborhood import punctured_neighborhood, punctured_neighborhoods
 from .persistence import degree0_diagram, wasserstein_distance, wasserstein_norm
 from .synthetic import pinched_neighborhood_embedding, planted_two_sense_dataset
-from .tps import PercentileTable, save_tps_csv, tps_batch, tps_score
+from .tps import save_tps_csv, tps_batch, tps_score
 from .wsi import (
     DbscanConfig,
     Instance,
@@ -61,7 +61,6 @@ __all__ = [
     "wasserstein_norm",
     "pinched_neighborhood_embedding",
     "planted_two_sense_dataset",
-    "PercentileTable",
     "save_tps_csv",
     "tps_batch",
     "tps_score",

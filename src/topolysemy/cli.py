@@ -10,7 +10,7 @@ Four subcommands over the library pipeline:
 Every command validates its paths up front, writes outputs atomically, and
 exits 0 only when all requested outputs were written.  TPS_THREADS caps the
 worker pool.  The scripts under scripts/ share wsi_options, opn_config, the
-loaders and run.
+loaders, run and the checked number types.
 """
 
 from __future__ import annotations
@@ -42,40 +42,32 @@ _LIST_CAP = 10
 logger = logging.getLogger("topolysemy")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(
+    convert: Callable[[str], float], kind: str, expected: str, holds: Callable[[float], bool]
+) -> Callable[[str], float]:
+    """Argparse type that converts the text and requires holds(value) of the result."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
+
+    return check
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
-    return value
+positive_int = _checked(int, "an integer", "a positive integer", lambda v: v >= 1)
+nonnegative_int = _checked(int, "an integer", "a non-negative integer", lambda v: v >= 0)
+positive_float = _checked(float, "a number", "a positive finite number", lambda v: math.isfinite(v) and v > 0.0)
 
 
 def _k_value(text: str) -> int | None:
     if text == "auto":
         return None
-    return _positive_int(text)
+    return positive_int(text)
 
 
 def wsi_options() -> argparse.ArgumentParser:
@@ -85,22 +77,22 @@ def wsi_options() -> argparse.ArgumentParser:
     options.add_argument("--instances", required=True, help="JSONL instances (target, id, tokens)")
     options.add_argument("--backend", choices=("dbscan", "kmeans"), default="dbscan")
     options.add_argument(
-        "--n", type=_positive_int, default=OpnConfig.n, help="neighborhood size (default %(default)s)"
+        "--n", type=positive_int, default=OpnConfig.n, help="neighborhood size (default %(default)s)"
     )
     options.add_argument(
-        "--eps", type=_positive_float, default=DbscanConfig.eps,
+        "--eps", type=positive_float, default=DbscanConfig.eps,
         help="dbscan cosine radius (default %(default)s)",
     )
     options.add_argument(
-        "--min-pts", type=_positive_int, default=DbscanConfig.min_pts,
+        "--min-pts", type=positive_int, default=DbscanConfig.min_pts,
         help="dbscan core threshold (default %(default)s)",
     )
     options.add_argument("--k", type=_k_value, default=KmeansConfig.k, help="kmeans cluster count, or 'auto'")
     options.add_argument(
-        "--seed", type=_nonnegative_int, default=KmeansConfig.seed, help="kmeans seed (default %(default)s)"
+        "--seed", type=nonnegative_int, default=KmeansConfig.seed, help="kmeans seed (default %(default)s)"
     )
     options.add_argument(
-        "--tps-n", type=_positive_int, default=KmeansConfig.tps_n,
+        "--tps-n", type=positive_int, default=KmeansConfig.tps_n,
         help="neighborhood size of the scores behind --k auto (default %(default)s)",
     )
     return options
@@ -118,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = tps.add_mutually_exclusive_group(required=True)
     group.add_argument("--words", help="file with one target word per line")
     group.add_argument("--all", action="store_true", dest="all_words", help="score every word")
-    tps.add_argument("--n", type=_positive_int, default=50, help="neighborhood size (default 50)")
+    tps.add_argument("--n", type=positive_int, default=50, help="neighborhood size (default 50)")
     tps.add_argument("--out", required=True, help="output CSV path")
 
     wsi = sub.add_parser("wsi", parents=[wsi_options()], help="induce senses; write a key file")

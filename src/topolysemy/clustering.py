@@ -162,9 +162,6 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     core_idx = np.flatnonzero(core)
 
     labels = np.full(n, NOISE, dtype=np.int64)
-    if core_idx.size == 0:
-        return Clustering(labels=labels, n_clusters=0)
-
     # Non-core points are singletons here; only the core points' roots are read.
     row_core, col_core = core[rows], core[cols]
     both = row_core & col_core

@@ -380,7 +380,7 @@ def count_corpus(path) -> dict[str, int]:
 
 
 def load_count_table(path) -> dict[str, int]:
-    """Parse a "word<TAB>count" TSV; counts must be nonnegative integers."""
+    """Parse a "word<TAB>count" TSV; counts must be nonnegative integers up to 2**53."""
     entries: dict[str, int] = {}
     for lineno, line in enumerate(utf8_lines(path), start=1):
         line = line.rstrip("\n").rstrip("\r")
@@ -394,9 +394,13 @@ def load_count_table(path) -> dict[str, int]:
             raise ParseError(
                 f"{path}:{lineno}: count for {word!r} must be a nonnegative integer, got {raw_count!r}"
             )
+        # Correlations take counts as float64, which holds every integer up to 2**53 (16 digits).
+        digits = raw_count.lstrip("0") or "0"
+        if len(digits) > 16 or int(digits) > 2**53:
+            raise ParseError(f"{path}:{lineno}: count for {word!r} exceeds 2**53, the exact float64 limit")
         if word in entries:
             raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-        entries[word] = int(raw_count)
+        entries[word] = int(digits)
     return entries
 
 

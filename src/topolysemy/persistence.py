@@ -88,6 +88,9 @@ def degree0_diagram(points: np.ndarray) -> PersistenceDiagram:
     m = points.shape[0]
     if m < 2:
         return PersistenceDiagram(bars=np.empty((0, 2), dtype=np.float64))
+    if points.shape[1] == 0:
+        # Zero-dimension points all coincide.
+        return PersistenceDiagram(bars=np.zeros((m - 1, 2), dtype=np.float64))
 
     # Squares overflow beyond about 1e154; the bars reject an infinite death.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,11 +34,17 @@ class Instance:
     def __post_init__(self) -> None:
         # A key line is "target instance_id label" split on whitespace.
         for name, value in (("target", self.target), ("id", self.id)):
+            if not isinstance(value, str):
+                raise ValueError(f"instance {name} must be a string, got {value!r}")
             if value.split() != [value]:
                 raise ValueError(f"instance {name} must be non-empty without whitespace, got {value!r}")
-        if not self.tokens:
+        tokens = tuple(self.tokens)
+        # A bare string would become its characters.
+        if isinstance(self.tokens, str) or not all(isinstance(token, str) for token in tokens):
+            raise ValueError(f"instance {self.id!r} tokens must be a sequence of strings, got {self.tokens!r}")
+        if not tokens:
             raise ValueError(f"instance {self.id!r} has no context tokens")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "tokens", tokens)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from oracles import (
 )
 from topolysemy import (
     OpnConfig,
-    PercentileTable,
     degree0_diagram,
     load_count_table,
     load_unit_vectors,
@@ -40,7 +39,7 @@ from topolysemy import (
 )
 from topolysemy.persistence import PersistenceDiagram
 from topolysemy.synthetic import random_embedding
-from topolysemy.tps import predicted_k
+from topolysemy.tps import PercentileTable, predicted_k
 from topolysemy.wsi import resolve_target
 
 EMPTY = PersistenceDiagram(bars=np.empty((0, 2)))

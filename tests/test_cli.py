@@ -563,6 +563,13 @@ class TestCorrelateCommand:
         assert rc == 1
         assert "constant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_count_is_one_error_line(self, tmp_path, capsys, digits):
+        tps, counts = self.write_inputs(tmp_path, [("a", 2), ("b", 4), ("c", "9" * digits)])
+        rc = main(["correlate", "--tps", str(tps), "--counts", str(counts), "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {counts}:3: count for 'c' exceeds 2**53, the exact float64 limit\n"
+
     def test_too_small_join_fails(self, tmp_path, capsys):
         tps, counts = self.write_inputs(tmp_path, [("a", 2), ("x", 1), ("y", 1)])
         out = tmp_path / "s.csv"

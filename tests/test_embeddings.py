@@ -636,6 +636,16 @@ class TestCountTable:
             load_count_table(path)
         assert str(raised.value) == f"{path}:2: count for {word!r} must be a nonnegative integer, got {count!r}"
 
+    def test_counts_up_to_2_to_the_53(self, tmp_path):
+        # float64 holds every integer up to 2**53 and not 2**53 + 1.
+        table = load_count_table(write(tmp_path / "c.tsv", f"x\t{2**53}\ny\t{'0' * 5000}7\n"))
+        assert table == {"x": 2**53, "y": 7}
+        assert float(table["x"]) == table["x"]
+        path = write(tmp_path / "d.tsv", f"x\t1\nbig\t{2**53 + 1}\n")
+        with pytest.raises(ParseError) as raised:
+            load_count_table(path)
+        assert str(raised.value) == f"{path}:2: count for 'big' exceeds 2**53, the exact float64 limit"
+
     def test_duplicate_word(self, tmp_path):
         with pytest.raises(ParseError, match="duplicate"):
             load_count_table(write(tmp_path / "c.tsv", "x\t1\nx\t2\n"))

@@ -26,6 +26,14 @@ class TestDegree0Diagram:
     def test_single_point(self):
         assert len(degree0_diagram(np.array([[5.0, 5.0]]))) == 0
 
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_zero_dimension_points_coincide(self, m):
+        points = np.zeros((m, 0))
+        d = degree0_diagram(points)
+        assert d.births.tolist() == [0.0] * (m - 1)
+        assert d.deaths.tolist() == single_linkage_merge_heights(points.tolist())
+        assert d.deaths.tolist() == linkage(pdist(points), "single")[:, 2].tolist()
+
     def test_coincident_pair(self):
         d = degree0_diagram(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert d.bars.tolist() == [[0.0, 0.0]]

@@ -13,8 +13,16 @@ import pytest
 
 import topolysemy
 from conftest import save_vec_file
-from topolysemy import EmbeddingSet, Instance, planted_two_sense_dataset, write_key
-from topolysemy.cli import build_parser
+from topolysemy import (
+    EmbeddingSet,
+    Instance,
+    load_unit_vectors,
+    pearson_with_p,
+    planted_two_sense_dataset,
+    tps_batch,
+    write_key,
+)
+from topolysemy.cli import build_parser, main
 from topolysemy.wsi import SenseKey
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -176,6 +184,35 @@ def test_run_semeval_rejects_bad_values_before_loading(tmp_path, monkeypatch, ca
     assert not outdir.exists()
 
 
+def test_run_semeval_correlates_gold_counts_by_target_and_frequencies_by_word(tmp_path, monkeypatch, capsys):
+    data = planted_two_sense_dataset()
+    words = ["b0w0", "b0w5", "b1w3"]
+    planted = dataclasses.replace(
+        data,
+        instances=data.instances + tuple(Instance(target=w, id="x", tokens=("pivot",)) for w in words),
+        gold=SenseKey(rows=data.gold.rows + tuple((w, "x", "g") for w in words)),
+    )
+    inputs = semeval_inputs(tmp_path, planted.embeddings, planted)
+    # Each file also counts the other spelling of pivot.n, which must not join.
+    gold_counts = tmp_path / "gold_counts.tsv"
+    gold_counts.write_text("b0w0\t1\nb0w5\t3\npivot\t40\npivot.n\t2\n")
+    frequencies = tmp_path / "frequencies.tsv"
+    frequencies.write_text("b0w0\t7\nb0w5\t3\nb1w3\t12\npivot\t50\npivot.n\t1\n")
+    run_script(
+        "run_semeval.py", monkeypatch, *inputs,
+        "--outdir", str(tmp_path / "eval"), "--n", "48", "--tps-n", "10",
+        "--gold-counts", str(gold_counts), "--frequencies", str(frequencies),
+    )
+    embeddings, _ = load_unit_vectors(inputs[1])
+    score = {r.word: r.score for r in tps_batch(embeddings, [*words, "pivot"], n=10)}
+    gold = pearson_with_p([score["b0w0"], score["b0w5"], score["pivot"]], [1.0, 3.0, 2.0])
+    freq = pearson_with_p([score[w] for w in [*words, "pivot"]], [7.0, 3.0, 12.0, 50.0])
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"score vs gold sense counts: r={gold.r:.4f} p={gold.p_value:.4g} n=3",
+        f"score vs corpus frequency:  r={freq.r:.4f} p={freq.p_value:.4g} n=4",
+    ]
+
+
 @pytest.mark.parametrize("option, label", [("--gold-counts", "gold counts"), ("--frequencies", "frequencies")])
 def test_run_semeval_checks_input_files_before_loading(tmp_path, monkeypatch, capsys, option, label):
     data = planted_two_sense_dataset()
@@ -237,3 +274,56 @@ def test_every_export_is_used_by_the_readme_or_a_script():
             used += handle.read()
     exported = set(topolysemy.__all__) - {"ParseError", "__version__"}
     assert sorted(n for n in exported if not re.search(rf"\b{n}\b", used)) == []
+
+
+_WSI_BAD_VALUES = [
+    ("--n", "0", "a positive integer, got 0"),
+    ("--eps", "0", "a positive finite number, got 0.0"),
+    ("--min-pts", "0", "a positive integer, got 0"),
+    ("--k", "0", "a positive integer, got 0"),
+    ("--seed", "-1", "a non-negative integer, got -1"),
+    ("--tps-n", "0", "a positive integer, got 0"),
+]
+_BAD_VALUES = {
+    "tps": [("--n", "0", "a positive integer, got 0")],
+    "wsi": _WSI_BAD_VALUES,
+    "run_semeval.py": _WSI_BAD_VALUES,
+    "count_corpus.py": [("--min-count", "-3", "a non-negative integer, got -3")],
+    "synthetic_demo.py": [
+        ("--trials", "0", "a positive integer, got 0"),
+        ("--per-cap", "0", "a positive integer, got 0"),
+        ("--seed", "-5000", "a non-negative integer, got -5000"),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option, value, expected",
+    [
+        pytest.param(command, *case, id=f"{command}{case[0]}")
+        for command, cases in _BAD_VALUES.items()
+        for case in cases
+    ],
+)
+def test_every_numeric_flag_rejects_a_bad_value_before_reading_files(
+    tmp_path, monkeypatch, capsys, command, option, value, expected
+):
+    # No input file exists, so only the parser can exit 2.
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out" / "o")
+    inputs = {
+        "tps": ["--vectors", missing, "--all", "--out", out],
+        "wsi": ["--vectors", missing, "--instances", missing, "--out", out],
+        "run_semeval.py": ["--vectors", missing, "--instances", missing, "--gold-key", missing, "--outdir", out],
+        "count_corpus.py": ["--corpus", missing, "--out", out],
+        "synthetic_demo.py": [],
+    }[command]
+    if command.endswith(".py"):
+        run_script(command, monkeypatch, *inputs, option, value, code=2)
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *inputs, option, value])
+        assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith(f": error: argument {option}: expected {expected}\n")
+    assert os.listdir(tmp_path) == []

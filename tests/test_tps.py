@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import EmbeddingSet, ParseError, PercentileTable, _util, save_tps_csv, tps, tps_batch, tps_score
+from topolysemy import EmbeddingSet, ParseError, _util, save_tps_csv, tps, tps_batch, tps_score
 from topolysemy.embeddings import l2_normalize_all
-from topolysemy.tps import TpsReport, load_tps_csv, predicted_k
+from topolysemy.tps import PercentileTable, TpsReport, load_tps_csv, predicted_k
 
 
 def caps_embedding(axes, per_cap, rng, dim=6, spread=0.05, offset=0.2):

@@ -360,6 +360,20 @@ class TestSenseContainers:
         with pytest.raises(ValueError):
             Instance(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"target": "t.n", "id": "1", "tokens": "river water"}, "sequence of strings"),
+            ({"target": "t.n", "id": "1", "tokens": ("river", 7)}, "sequence of strings"),
+            ({"target": 3, "id": "1", "tokens": ("a",)}, "target must be a string"),
+            ({"target": "t.n", "id": 1, "tokens": ("a",)}, "id must be a string"),
+        ],
+        ids=["str-tokens", "int-token", "int-target", "int-id"],
+    )
+    def test_instance_field_types(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Instance(**kwargs)
+
 
 class TestInstanceIo:
     def test_load_instances(self, tmp_path):
