@@ -50,12 +50,13 @@ class EmbeddingSet:
 
     Immutable after construction (the matrix is marked read-only), so
     instances can be shared freely across worker threads.  ``normalized``
-    records whether every row has unit L2 norm.
+    records that every row has unit L2 norm; only ``l2_normalize_all`` and
+    ``load_unit_vectors`` set it, so it is not a constructor argument.
     """
 
     words: tuple[str, ...]
     vectors: np.ndarray
-    normalized: bool = False
+    normalized: bool = field(default=False, init=False)
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -330,7 +331,13 @@ def l2_normalize_all(embeddings: EmbeddingSet) -> EmbeddingSet:
     zero = _normalize_rows(vectors)
     if zero.size:
         raise ValueError(f"cannot normalize zero vector for word {embeddings.words[zero[0]]!r}")
-    return EmbeddingSet(words=embeddings.words, vectors=vectors, normalized=True)
+    return _marked_normalized(EmbeddingSet(words=embeddings.words, vectors=vectors))
+
+
+def _marked_normalized(embeddings: EmbeddingSet) -> EmbeddingSet:
+    """The set, marked as holding unit rows, which its caller has just made them."""
+    object.__setattr__(embeddings, "normalized", True)
+    return embeddings
 
 
 def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
@@ -349,8 +356,7 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
     if not dropped:
         # Its words and index are checked already, and its rows are now unit.
         vectors.setflags(write=False)
-        object.__setattr__(embeddings, "normalized", True)
-        return embeddings, dropped
+        return _marked_normalized(embeddings), dropped
     skip = set(dropped)
     keep = np.delete(np.arange(len(words)), zero)
     # Compact in place, a heap-sized block at a time: each block is gathered
@@ -360,7 +366,7 @@ def load_unit_vectors(path) -> tuple[EmbeddingSet, list[str]]:
         block = keep[start : start + step]
         vectors[start : start + len(block)] = vectors[block]
     words, vectors = tuple(w for w in words if w not in skip), vectors[: len(keep)]
-    return EmbeddingSet(words=words, vectors=vectors, normalized=True), dropped
+    return _marked_normalized(EmbeddingSet(words=words, vectors=vectors)), dropped
 
 
 def tokenize(text: str) -> list[str]:

@@ -12,17 +12,18 @@ any bar may instead be matched to its closest diagonal point at cost
 The merge heights come from a certificate, not from a dendrogram library.
 An edge that is strictly the heaviest edge of some cycle lies in no MST.
 Approximate squared distances from one Gram product are each within delta
-of pdist's (see _delta), and an MST of them, from Kruskal and Borůvka
-rounds, is the approximate spanning tree.  Take a pair whose approximate
-value is more than 2 delta above every approximate value on a tree path
-between its ends, that is, above their minimax (cophenetic) distance in
-the tree.  Its exact value exceeds its approximate one less delta, and
-every path edge's exact value is at most its approximate one plus delta,
-so the pair is strictly the heaviest edge of the cycle the path closes,
-and in no MST.  Only the other pairs, the candidates, get exact
-distances, each summed in dimension order as pdist sums.  Every MST of
-the candidates is an MST of the cloud, and all MSTs of a graph share one
-multiset of weights, so the diagram is exact.
+of pdist's (see _delta), and an MST of them, from Kruskal over the
+least pairs, or Prim, is the approximate spanning tree.  Take a pair
+whose approximate value is more than 2 delta above every approximate
+value on a tree path between its ends, that is, above their minimax
+(cophenetic) distance in the tree.  Its exact value exceeds its
+approximate one less delta, and every path edge's exact value is at
+most its approximate one plus delta, so the pair is strictly the
+heaviest edge of the cycle the path closes, and in no MST.  Only the
+other pairs, the candidates, get exact distances, each summed in
+dimension order as pdist sums.  Every MST of the candidates is an MST
+of the cloud, and all MSTs of a graph share one multiset of weights, so
+the diagram is exact.
 """
 
 from __future__ import annotations
@@ -186,25 +187,22 @@ def _pairs_below(sq: np.ndarray, bound: float, start: int, stop: int) -> tuple[n
     return rows, cols, sq[rows, cols]
 
 
-# Kruskal scans at most this many of the least pairs per point; Borůvka rounds
-# join what it leaves apart, so that clouds whose largest nearest-neighbor
-# distance exceeds most distances, as uniform ones in many dimensions do,
-# cost no Python loop over most pairs.
+# The tree is Kruskal over the least pairs, or Prim.  Kruskal scans the pairs
+# up to the largest nearest-neighbor distance when they number at most this
+# many per point; Prim reads the whole matrix when they are more, as in
+# uniform clouds in many dimensions, or do not span, as in separated ones.
 _SCAN_PER_POINT = 32
 
 
 def _tree_values(sq: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Ascending edge values of an MST of sq's upper triangle (i < j), whose diagonal is +inf.
 
-    Kruskal takes the given pairs, the least first, until they span;
-    Borůvka rounds join the components left, each component taking its
-    least edge to another one, an MST edge, in every round.
+    Kruskal over the least pairs, the given ones, when they are few and
+    span, or Prim over the whole triangle.
     """
     m = sq.shape[0]
-    limit = _SCAN_PER_POINT * m
-    if values.size > limit:
-        least = np.argpartition(values, limit)[:limit]
-        rows, cols, values = rows[least], cols[least], values[least]
+    if values.size > _SCAN_PER_POINT * m:
+        return _prim(sq)
     order = np.argsort(values, kind="stable")
     parent = list(range(m))
     joins: list[int] = []
@@ -217,31 +215,30 @@ def _tree_values(sq: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.
             parent[b] = a
             joins.append(k)
             if len(joins) == m - 1:
-                break
-    if len(joins) == m - 1:
-        return values[joins]
-    tree = [values[joins]]
-    _, label = spanning_forest(m, rows[joins], cols[joins])
-    # Each row takes its column of the upper triangle below the diagonal, so
-    # that it holds the value of every pair of its point.
-    work = sq.copy()
-    block = chunk_rows(m)
-    for start in range(0, m, block):
-        band = slice(start, start + block)
-        lower = np.tri(work[band].shape[0], m, start - 1, dtype=bool)
-        np.copyto(work[band], sq[:, band].T, where=lower)
-    vertices = np.arange(m)
-    while (label != label[0]).any():
-        np.copyto(work, np.inf, where=label[:, None] == label)
-        pick = work.argmin(axis=1)
-        value = work[vertices, pick]
-        by_component = np.lexsort((value, label))
-        grouped = label[by_component]
-        lead = by_component[np.flatnonzero(np.diff(grouped, prepend=-1))]
-        kept, root = spanning_forest(m, label[lead], label[pick[lead]])
-        tree.append(value[lead[kept]])
-        label = root[label]
-    return np.sort(np.concatenate(tree))
+                return values[joins]
+    return _prim(sq)
+
+
+def _prim(sq: np.ndarray) -> np.ndarray:
+    """Ascending edge values of an MST of sq's upper triangle, grown from point 0 by Prim.
+
+    Point j's pairs are column j above the diagonal and row j after it,
+    both read in place.
+    """
+    m = sq.shape[0]
+    # Each point's least pair to the tree; a point in the tree keeps +inf.
+    least = sq[0].copy()
+    outside = np.ones(m, dtype=bool)
+    outside[0] = False
+    tree = np.empty(m - 1)
+    for step in range(m - 1):
+        j = int(least.argmin())
+        tree[step] = least[j]
+        least[j] = np.inf
+        outside[j] = False
+        np.minimum(least[:j], sq[:j, j], out=least[:j], where=outside[:j])
+        np.minimum(least[j + 1 :], sq[j, j + 1 :], out=least[j + 1 :], where=outside[j + 1 :])
+    return np.sort(tree)
 
 
 def wasserstein_norm(diagram: PersistenceDiagram) -> float:

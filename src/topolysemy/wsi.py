@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -38,9 +39,11 @@ class Instance:
                 raise ValueError(f"instance {name} must be a string, got {value!r}")
             if value.split() != [value]:
                 raise ValueError(f"instance {name} must be non-empty without whitespace, got {value!r}")
-        tokens = tuple(self.tokens)
-        # A bare string would become its characters.
-        if isinstance(self.tokens, str) or not all(isinstance(token, str) for token in tokens):
+        tokens = self.tokens
+        # A bare string would become its characters; None or a number has no tokens to read.
+        if isinstance(tokens, Iterable) and not isinstance(tokens, str):
+            tokens = tuple(tokens)
+        if not isinstance(tokens, tuple) or not all(isinstance(token, str) for token in tokens):
             raise ValueError(f"instance {self.id!r} tokens must be a sequence of strings, got {self.tokens!r}")
         if not tokens:
             raise ValueError(f"instance {self.id!r} has no context tokens")

@@ -17,6 +17,7 @@ from topolysemy import (
     load_count_table,
     load_unit_vectors,
     load_vec_file,
+    punctured_neighborhood,
     save_count_table,
 )
 from topolysemy import _util, embeddings
@@ -467,6 +468,16 @@ class TestEmbeddingSet:
         emb = EmbeddingSet(words=("a",), vectors=np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             emb.vectors[0, 0] = 9.0
+
+    def test_normalized_is_not_a_constructor_argument(self):
+        # Trusting the claim, a search would rank [3, 3] first by its dot product,
+        # where cosine similarity ranks [.99, .14] first.
+        rows = np.array([[1.0, 0.0], [0.99, 0.14], [3.0, 3.0], [0.8, 0.6]])
+        with pytest.raises(TypeError, match="normalized"):
+            EmbeddingSet(words=("w", "near", "long", "far"), vectors=rows, normalized=True)
+        unit = l2_normalize_all(EmbeddingSet(words=("w", "near", "long", "far"), vectors=rows))
+        assert unit.normalized
+        assert punctured_neighborhood(unit, "w", 1).words == ("near",)
 
     def test_lookup(self):
         emb = EmbeddingSet(words=("a", "b"), vectors=np.eye(2))

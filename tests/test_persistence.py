@@ -8,7 +8,8 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
 from conftest import random_cloud, random_diagram_bars
-from topolysemy import degree0_diagram, wasserstein_distance, wasserstein_norm
+from topolysemy import degree0_diagram, pinched_neighborhood_embedding, punctured_neighborhood
+from topolysemy import wasserstein_distance, wasserstein_norm
 from topolysemy import _util, persistence
 from topolysemy.persistence import PersistenceDiagram, _candidates
 
@@ -153,28 +154,33 @@ class TestExactAgainstLinkage:
     @settings(max_examples=100)
     @given(tie_heavy_clouds(), st.sampled_from([0, 1]), st.sampled_from([1, 3, None]))
     def test_boruvka_rounds_join_what_the_scan_leaves(self, points, per_point, block):
-        # With at most m or no pairs to scan, Borůvka rounds build most or all of the tree;
-        # the matrix is also read in blocks of 1 or 3 rows.
+        # With at most m or no pairs to scan, Prim builds the tree whenever Kruskal's pool is
+        # larger or does not span; the matrix is also read in blocks of 1 or 3 rows.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persistence, "_SCAN_PER_POINT", per_point)
             if block:
                 patch.setattr(_util, "CHUNK_ELEMENTS", block * points.shape[0])
             assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
 
-    @pytest.mark.parametrize("shape", ["separated", "uniform"])
+    @pytest.mark.parametrize("shape", ["separated", "uniform", "pinched-2", "pinched-4"])
     def test_clouds_the_scan_cannot_span(self, shape, monkeypatch):
         rng = np.random.default_rng(5)
         if shape == "separated":
             # The largest nearest-neighbor distance falls short of the gap between the groups.
             points = np.concatenate([rng.standard_normal((30, 3)), 50.0 + rng.standard_normal((30, 3))])
-        else:
+        elif shape == "uniform":
             # More pairs lie below the largest nearest-neighbor distance than the scan takes.
             points = rng.standard_normal((600, 100))
-        rounds = []
-        spanning = persistence.spanning_forest
-        monkeypatch.setattr(persistence, "spanning_forest", lambda *args: rounds.append(1) or spanning(*args))
+        else:
+            # A polysemous word's cloud as tps scores it: no nearest-neighbor pair bridges two caps.
+            k, per_cap = {"pinched-2": (2, 100), "pinched-4": (4, 250)}[shape]
+            embedding, center = pinched_neighborhood_embedding(k, per_cap=per_cap, dim=100, seed=k)
+            points = punctured_neighborhood(embedding, center, k * per_cap, project=True).points
+        calls = []
+        prim = persistence._prim
+        monkeypatch.setattr(persistence, "_prim", lambda sq: calls.append(1) or prim(sq))
         assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
-        assert rounds
+        assert calls
 
     def test_points_beyond_the_square_root_of_the_largest_float(self):
         # Moved to its first point the cloud is small, and its bars are exact.

@@ -23,6 +23,7 @@ from topolysemy import (
     write_key,
 )
 from topolysemy import wsi
+from topolysemy.embeddings import l2_normalize_all
 from topolysemy.wsi import SenseClusters, SenseKey, load_instances, resolve_target, target_lemma
 
 
@@ -32,8 +33,7 @@ def make_senses(clusters, target="t.n", word="t"):
 
 def axis_embedding(words):
     """One orthonormal axis per word: every pairwise cosine distance is 1."""
-    vectors = np.eye(len(words))
-    return EmbeddingSet(words=tuple(words), vectors=vectors, normalized=True)
+    return l2_normalize_all(EmbeddingSet(words=tuple(words), vectors=np.eye(len(words))))
 
 
 class TestAssignInstance:
@@ -365,10 +365,12 @@ class TestSenseContainers:
         [
             ({"target": "t.n", "id": "1", "tokens": "river water"}, "sequence of strings"),
             ({"target": "t.n", "id": "1", "tokens": ("river", 7)}, "sequence of strings"),
+            ({"target": "t.n", "id": "1", "tokens": 5}, "sequence of strings"),
+            ({"target": "t.n", "id": "1", "tokens": None}, "sequence of strings"),
             ({"target": 3, "id": "1", "tokens": ("a",)}, "target must be a string"),
             ({"target": "t.n", "id": 1, "tokens": ("a",)}, "id must be a string"),
         ],
-        ids=["str-tokens", "int-token", "int-target", "int-id"],
+        ids=["str-tokens", "int-token", "int-tokens", "none-tokens", "int-target", "int-id"],
     )
     def test_instance_field_types(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
