@@ -1,4 +1,4 @@
-"""Shared plumbing: parse errors, UTF-8 line reads, atomic file and CSV writes, worker pool, chunk sizing and spanning forests."""
+"""Shared plumbing: parse errors, UTF-8 line reads, atomic file and CSV writes, worker pool, chunk sizing, the float32 margin and spanning forests."""
 
 from __future__ import annotations
 
@@ -16,10 +16,31 @@ R = TypeVar("R")
 
 THREADS_ENV = "TPS_THREADS"
 
-# Element budget of one row chunk of a similarity product, whatever the
-# number of rows: 4M values, 32 MB in float64 (the neighbor search) and
-# 16 MB in float32 (dbscan's eps pairs).
+# Element budget of one row chunk of a product, whatever the number of rows:
+# 4M float32 values, 16 MB.  A neighbor search pass holds its block product,
+# the product's partitioned copy and its float32 vocabulary tile within it,
+# per worker; dbscan's eps pairs hold one float32 chunk.
 CHUNK_ELEMENTS = 4_000_000
+
+# A float32 similarity is trusted only outside a margin.  Let u = 2^-24, the
+# float32 unit roundoff, and let a, b be rows of R^d within
+# clustering._UNIT_TOL of unit length, so that |a|.|b| (coordinates taken in
+# absolute value) is at most (1 + _UNIT_TOL)^2.  Casting to float32 moves
+# each coordinate by at most u relative, so the cast rows' exact dot product
+# is within (2u + u^2) |a|.|b| of a.b.  Rounding the d products and summing
+# them in float32, in any order, adds at most d u / (1 - d u) |a|.|b|
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  To
+# first order the float32 similarity is therefore within (d + 2) u of a.b.
+# The margin doubles that, which covers the higher-order terms, the unit
+# tolerance and the float64 rounding (about d 2^-53) of the exact
+# similarity that decides the values inside it.  Cuts taken from it are
+# rounded outward, so their own rounding cannot move a value across.
+_FLOAT32_UNIT = 2.0**-24
+
+
+def _float32_margin(dim: int) -> float:
+    """Distance from a value inside which a float32 similarity is not trusted."""
+    return 2.0 * (dim + 2) * _FLOAT32_UNIT
 
 
 class ParseError(ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_rows, spanning_forest
+from ._util import _float32_margin, chunk_rows, spanning_forest
 
 NOISE = -1
 
@@ -59,27 +59,6 @@ class Clustering:
     def members(self, cluster_id: int) -> np.ndarray:
         """Ascending point indices labeled `cluster_id` (NOISE allowed)."""
         return np.flatnonzero(self.labels == cluster_id)
-
-
-# _eps_pairs filters pairs by a float32 product, then decides those near
-# the cut exactly.  Let u = 2^-24, the float32 unit roundoff, and let a, b be
-# rows of R^d within _UNIT_TOL of unit length, so that |a|.|b| (coordinates
-# taken in absolute value) is at most (1 + _UNIT_TOL)^2.  Casting to float32
-# moves each coordinate by at most u relative, so the cast rows' exact dot
-# product is within (2u + u^2) |a|.|b| of a.b.  Rounding the d products and
-# summing them in float32, in any order, adds at most d u / (1 - d u) |a|.|b|
-# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  To
-# first order the float32 similarity is therefore within (d + 2) u of a.b.
-# The margin doubles that, which covers the higher-order terms, the unit
-# tolerance and the float64 rounding (about d 2^-53) of the exact per-pair
-# similarity that decides the pairs inside it.  The float32 cuts themselves
-# are rounded outward, so their own rounding cannot move a pair across.
-_FLOAT32_UNIT = 2.0**-24
-
-
-def _float32_margin(dim: int) -> float:
-    """Distance from the cut inside which a pair's float32 similarity is not trusted."""
-    return 2.0 * (dim + 2) * _FLOAT32_UNIT
 
 
 def _exact_within(points: np.ndarray, rows: np.ndarray, cols: np.ndarray, eps: float) -> np.ndarray:

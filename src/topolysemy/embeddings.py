@@ -19,18 +19,18 @@ from typing import BinaryIO, Callable, Mapping
 
 import numpy as np
 
-from ._util import ParseError, atomic_write_text, chunk_rows, utf8_lines, worker_count
+from ._util import ParseError, atomic_write_text, utf8_lines, worker_count
 
 # Row norms in this range come from squares that neither underflow nor
 # overflow.
 _SAFE_NORMS = (1e-150, 1e150)
 
-# Float64 bytes of one np.loadtxt result, and of one block of rows that
-# load_unit_vectors moves.  loadtxt grows its buffer by a
-# quarter plus 8-16 KiB at a time, so every buffer stays under glibc's default
-# 128 KiB mmap threshold: blocks come from the heap, and freeing them never
-# raises the dynamic threshold, which would move later large temporaries onto
-# the heap too and raise peak RSS.
+# Float64 bytes of one np.loadtxt result, of one block of rows that
+# load_unit_vectors moves and of the squares that _normalize_rows sums.
+# loadtxt grows its buffer by a quarter plus 8-16 KiB at a time, so every
+# buffer stays under glibc's default 128 KiB mmap threshold: blocks come from
+# the heap, and freeing them never raises the dynamic threshold, which would
+# move later large temporaries onto the heap too and raise peak RSS.
 _PARSE_BLOCK_BYTES = 64 * 1024
 # np.loadtxt also splits on these; bytes.split() does not, and float() cannot
 # read a token holding one.
@@ -302,10 +302,10 @@ def _parse_numbers(lines: list[bytes], dim: int) -> np.ndarray | None:
 def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
     """Divide each nonzero row of vectors by its L2 norm in place; return the zero rows' indices."""
     n, d = vectors.shape
-    step = chunk_rows(d)
+    step = max(1, _PARSE_BLOCK_BYTES // (8 * d))
     norms = np.empty(n)
-    # np.linalg.norm's sqrt(add.reduce(x * x)), with the squares in one buffer
-    # reused across row chunks; rows are independent, so chunking keeps the bits.
+    # np.linalg.norm's sqrt(add.reduce(x * x)), with the squares in one heap
+    # buffer reused across row blocks; rows are independent, so blocking keeps the bits.
     squares = np.empty((min(step, n), d))
     with np.errstate(over="ignore"):
         for start in range(0, n, step):

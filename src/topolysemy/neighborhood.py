@@ -5,9 +5,13 @@ by cosine similarity, never including the center itself.  The projected
 cloud recenters each neighbor at the center vector and scales it to the unit
 sphere, which is the input the persistence stage consumes.
 
-Search runs on blocks of center words: one matrix product gives a block's
-similarities to the whole vocabulary, a partition picks each word's
-candidates, and an exact per-row similarity ranks them.
+Search runs on blocks of center words, one candidate pass per block: the
+block is multiplied with one vocabulary tile at a time (in float32, the
+tile cast into a reused buffer, unless the block is narrow), each word
+keeps the rows near its running k-th largest product similarity, and an
+exact float64 per-row similarity ranks them.  The product, its partitioned
+copy and the cast tile hold at most CHUNK_ELEMENTS float32 values (16 MB),
+whatever the vocabulary size.
 """
 
 from __future__ import annotations
@@ -17,17 +21,21 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import chunk_rows
+from ._util import _float32_margin, chunk_rows
 from .embeddings import EmbeddingSet
 
 # Neighbors closer to the center than this are treated as coincident and
 # cannot be projected to the sphere.
 COINCIDENT_EPS = 1e-12
 
-# Candidates keep every row whose block-product similarity lies within this
-# of the cut.  A matrix product and an exact per-row dot product of unit
-# vectors differ by about 1e-15, so no row of the exact top ranks is lost.
-_CANDIDATE_MARGIN = 1e-9
+# Center words per candidate pass; every pass reads the whole vocabulary.
+_BLOCK_WORDS = 256
+# Blocks of at least this many words multiply in float32.  A narrower block
+# multiplies the float64 tiles as they are: casting a tile costs more than
+# the float32 product saves.  At one thread, over 50,000 x 100 rows, the
+# products, copies and partitions of one pass took 2.3 ms in float64 and
+# 4.0 ms in float32 at 8 words, 9.7 and 8.3 ms at 60.
+_FLOAT32_WORDS = 48
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,13 @@ def punctured_neighborhoods(
     product is the cosine), that n is at most the vocabulary size minus one
     and that every word is known.  Neighbors rank by an exact dot product
     computed row by row, so the result does not depend on which words
-    share a block; equal similarities keep ascending vocabulary order.
-    Blocks of chunk_rows(len(embeddings)) words share one product with the
-    vocabulary, about 32 MB: a caller done with each cloud before the next
-    holds one product and one cloud, whatever the number of words.
+    share a block or a tile; equal similarities keep ascending vocabulary
+    order.  Blocks of up to 256 words, and of at most
+    CHUNK_ELEMENTS // (n + 1), share one candidate pass over the
+    vocabulary, which holds at most CHUNK_ELEMENTS float32 values (16 MB)
+    of products and tiles plus a few times n similarities and kept rows
+    per word: a caller done with each cloud before the next holds one pass
+    and one cloud, whatever the number of words.
 
     With ``project``, each neighbor v becomes (v - w) / ||v - w|| for the
     center vector w.  Neighbors within COINCIDENT_EPS of w cannot be
@@ -87,7 +98,9 @@ def punctured_neighborhoods(
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
     rows = [embeddings.row(word) for word in words]
-    block = chunk_rows(len(embeddings))
+    # Each word of a pass holds its running n + 1 largest similarities and
+    # kept rows, so a block at large n has fewer words.
+    block = min(_BLOCK_WORDS, chunk_rows(n + 1))
     return (
         cloud
         for start in range(0, len(rows), block)
@@ -105,40 +118,103 @@ def punctured_neighborhood(
 def _block_clouds(
     embeddings: EmbeddingSet, rows: list[int], n: int, project: bool
 ) -> Iterator[NeighborhoodCloud]:
-    """Clouds of one block of center rows, from one product with the vocabulary.
+    """Clouds of one block of center rows, from one candidate pass over the vocabulary."""
+    for row, candidates in zip(rows, _candidates(embeddings.vectors, rows, n + 1)):
+        yield _cloud(embeddings, row, candidates, n, project)
 
-    The product lives in this generator's frame, so it is freed when the
-    block is done and before the next block's product is made.
+
+def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.ndarray]:
+    """For each center row, the ascending rows that may be among its k most similar.
+
+    Each vocabulary tile is multiplied with the block into one reused
+    product, in float32 (the tile cast into one reused buffer) from
+    _FLOAT32_WORDS words on and in float64 below, where the cast costs more
+    than it saves.  A partitioned copy of the product gives each word's k
+    largest values of the tile, which merge with the k largest so far into
+    the running k-th largest, the cut.  Rows are kept while their
+    similarity reaches the cut less the band, rounded outward.  The cut and
+    a row's similarity are both products, each within _float32_margin of
+    the exact similarity (a float64 product is far closer), so the band is
+    twice that: the final cut is the k-th largest of the whole vocabulary,
+    so the exact (k - 1)-th nearest row but the center lies within one
+    margin below it, and so does every row tied with or nearer than that
+    one, within one more margin.  Product, copy and tile hold at most
+    CHUNK_ELEMENTS float32 values; the kept rows are pruned to the cut
+    whenever they outnumber 2k per word.
     """
-    vectors = embeddings.vectors
-    for row, similarities in zip(rows, vectors[rows] @ vectors.T):
-        yield _cloud(embeddings, row, similarities, n, project)
+    count, dim = vectors.shape
+    width = len(rows)
+    single = width >= _FLOAT32_WORDS
+    dtype = np.float32 if single else np.float64
+    block = vectors[rows].astype(dtype)
+    # Float32 tiles fill the budget at a full block, so a narrower block
+    # holds less; float64 tiles are the vocabulary's own rows, and their
+    # product and copy fill the same bytes.
+    tile = min(count, chunk_rows(2 * _BLOCK_WORDS + dim) if single else chunk_rows(4 * width))
+    cast = np.empty((tile, dim), dtype=np.float32) if single else None
+    product = np.empty(width * tile, dtype=dtype)
+    copy = np.empty(width * tile, dtype=dtype)
+    band = 2.0 * _float32_margin(dim)
+    top = np.empty((width, 0), dtype=dtype)
+    floor = np.full(width, -np.inf, dtype=dtype)
+    # Kept rows as word * count + row, with their similarities, one part per tile.
+    keys: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    for start in range(0, count, tile):
+        span = min(tile, count - start)
+        part = vectors[start : start + span]
+        if cast is not None:
+            part = cast[:span]
+            part[...] = vectors[start : start + span]
+        similarities = np.matmul(block, part.T, out=product[: width * span].reshape(width, span))
+        best = copy[: width * span].reshape(width, span)
+        best[...] = similarities
+        if span > k:
+            best.partition(span - k, axis=1)
+            best = best[:, span - k :]
+        top = np.concatenate([top, best], axis=1)
+        if top.shape[1] >= k:
+            top.partition(top.shape[1] - k, axis=1)
+            top = top[:, top.shape[1] - k :]
+            cut = top[:, 0].astype(np.float64)
+            floor = np.nextafter((cut - band).astype(dtype), dtype(-np.inf))
+        # The copy is free again: it holds the mask of this tile's kept rows.
+        mask = np.greater_equal(
+            similarities, floor[:, None], out=copy.view(np.bool_)[: width * span].reshape(width, span)
+        )
+        flat = np.flatnonzero(mask)
+        keys.append(flat // span * count + (flat % span + start))
+        values.append(similarities.ravel()[flat])
+        if start + span == count or sum(piece.size for piece in keys) > 2 * width * k:
+            found, value = np.concatenate(keys), np.concatenate(values)
+            kept = value >= floor[found // count]
+            keys, values = [found[kept]], [value[kept]]
+    found = keys[0]
+    found.sort()
+    return np.split(found % count, np.cumsum(np.bincount(found // count, minlength=width))[:-1])
 
 
-def _ranked(vectors: np.ndarray, similarities: np.ndarray, center_row: int, k: int) -> np.ndarray:
+def _ranked(vectors: np.ndarray, candidates: np.ndarray, center_row: int, k: int) -> np.ndarray:
     """The k - 1 nearest rows to the center but itself, nearest first.
 
-    At least k rows reach the k-th largest block similarity, so the exact
-    (k - 1)-th nearest other row lies within rounding of it, and so does
-    every row tied with or nearer than that one: all are candidates.  The
-    exact similarity depends only on the row and the center.
+    The candidates are ascending and hold every row that may rank, ties
+    with the last included; the exact similarity depends only on the row
+    and the center.
     """
-    cut = similarities.shape[0] - k
-    threshold = np.partition(similarities, cut)[cut]
-    candidates = np.flatnonzero(similarities >= threshold - _CANDIDATE_MARGIN)
     candidates = candidates[candidates != center_row]
-    exact = np.multiply(vectors[candidates], vectors[center_row]).sum(axis=1)
-    return candidates[np.argsort(-exact, kind="stable")[: k - 1]]
+    products = vectors[candidates]
+    products *= vectors[center_row]
+    return candidates[np.argsort(-products.sum(axis=1), kind="stable")[: k - 1]]
 
 
 def _cloud(
-    embeddings: EmbeddingSet, center_row: int, similarities: np.ndarray, n: int, project: bool
+    embeddings: EmbeddingSet, center_row: int, candidates: np.ndarray, n: int, project: bool
 ) -> NeighborhoodCloud:
     vectors = embeddings.vectors
     word = embeddings.words[center_row]
     k = n + 1
     while True:
-        ranked = _ranked(vectors, similarities, center_row, k)
+        ranked = _ranked(vectors, candidates, center_row, k)
         if not project:
             return NeighborhoodCloud(
                 center=word,
@@ -153,6 +229,7 @@ def _cloud(
         # Coincident rows used up the candidates: widen past them.  Each
         # ranking extends the last one, so the kept rows never exceed n.
         k = min(len(vectors), n + 1 + int((~kept).sum()))
+        candidates = _candidates(vectors, [center_row], k)[0]
     return NeighborhoodCloud(
         center=word,
         words=tuple(embeddings.words[i] for i in ranked[kept]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 from ._util import ParseError, atomic_write_text, map_ordered, utf8_lines
 from .clustering import NOISE, dbscan, kmeans
 from .embeddings import EmbeddingSet
-from .neighborhood import punctured_neighborhood
+from .neighborhood import NeighborhoodCloud, punctured_neighborhood, punctured_neighborhoods
 from .tps import PercentileTable, TpsReport, predicted_k, tps_batch
 
 logger = logging.getLogger("topolysemy")
@@ -188,8 +189,14 @@ def induce_senses(
     word = resolve_target(embeddings, target)
     if word is None:
         raise KeyError(f"target {target!r} (lemma {target_lemma(target)!r}) not in vocabulary")
-    cloud = punctured_neighborhood(embeddings, word, n)
+    return _cluster_senses(target, punctured_neighborhood(embeddings, word, n), backend)
 
+
+def _cluster_senses(
+    target: str, cloud: NeighborhoodCloud, backend: DbscanConfig | KmeansConfig
+) -> SenseClusters:
+    """induce_senses on the target's searched cloud."""
+    word = cloud.center
     if isinstance(backend, DbscanConfig):
         result = dbscan(cloud.points, eps=backend.eps, min_pts=backend.min_pts)
         if result.n_clusters == 0:
@@ -258,7 +265,9 @@ def run_opn(
     target gets a copy of the backend whose k is derived from the target's
     score percentile within the evaluated population.  A k above
     ``config.n`` is clamped to it, with one warning per target in target
-    order.  Sense labels read "<target>.sense_<index>"; output is
+    order.  The targets are searched together, in shared candidate
+    passes, and the workers cluster their clouds in target order as each
+    comes free.  Sense labels read "<target>.sense_<index>"; output is
     independent of instance order.
     """
     if not embeddings.normalized:
@@ -287,8 +296,19 @@ def run_opn(
             )
             backends[t] = replace(backends[t], k=config.n)
 
-    induced = map_ordered(lambda t: induce_senses(embeddings, t, config.n, backends[t]), targets)
-    senses = dict(zip(targets, induced))
+    clouds = enumerate(punctured_neighborhoods(embeddings, [resolved[t] for t in targets], config.n))
+    lock = threading.Lock()
+
+    def induce_next(_: str) -> tuple[int, SenseClusters]:
+        # Each worker takes the next cloud in target order when it comes
+        # free, so one candidate pass serves a whole block of targets and the
+        # clustering is shared out as it goes.
+        with lock:
+            index, cloud = next(clouds)
+        return index, _cluster_senses(targets[index], cloud, backends[targets[index]])
+
+    induced = dict(map_ordered(induce_next, targets))
+    senses = {t: induced[i] for i, t in enumerate(targets)}
 
     rows = tuple(
         (instance.target, instance.id, assign_instance(instance, senses[instance.target]))

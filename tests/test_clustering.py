@@ -12,12 +12,12 @@ from scipy.sparse.csgraph import connected_components
 from conftest import random_unit_rows
 from test_neighborhood import UNIT
 from topolysemy import _util, dbscan, kmeans, pinched_neighborhood_embedding
+from topolysemy._util import _float32_margin
 from topolysemy.clustering import (
     _UNIT_TOL,
     NOISE,
     Clustering,
     _eps_pairs,
-    _float32_margin,
     _squared_distances,
     farthest_first_centers,
 )

@@ -20,7 +20,7 @@ from topolysemy import (
     punctured_neighborhood,
     save_count_table,
 )
-from topolysemy import _util, embeddings
+from topolysemy import embeddings
 from topolysemy.embeddings import l2_normalize_all, tokenize
 
 finite_floats = st.floats(
@@ -441,7 +441,7 @@ def test_load_unit_vectors_is_bit_identical_for_every_chunk_size(tmp_path, monke
     save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(23)), vectors=rows), path)
     # At the default budget the whole file is one chunk.
     expected = l2_normalize_all(load_vec_file(path))
-    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", block * 4)
+    monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * 4)
     emb, dropped = load_unit_vectors(path)
     assert dropped == []
     assert emb.words == expected.words

@@ -194,22 +194,30 @@ def test_matches_plain_python_reference(case):
 
 @st.composite
 def batched_searches(draw):
-    """(rows, queries, n, project, block): every word queried, in any order."""
+    """(rows, queries, n, project, block, tile, single): every word queried, in any order."""
     rows, _, n = draw(planted_vocabularies())
     if draw(st.booleans()):
         n = len(rows) - 1
     queries = draw(st.permutations(range(len(rows))))
     block = draw(st.sampled_from([1, 3, len(rows)]))
-    return rows, queries, n, draw(st.booleans()), block
+    tile = draw(st.sampled_from([1, 3, len(rows)]))
+    return rows, queries, n, draw(st.booleans()), block, tile, draw(st.booleans())
+
+
+def patch_search(patch, block, tile, dim, single):
+    """Candidate passes of `block` words over vocabulary tiles of `tile` rows, in float32 or float64."""
+    patch.setattr(neighborhood, "_BLOCK_WORDS", block)
+    patch.setattr(_util, "CHUNK_ELEMENTS", tile * (2 * block + dim))
+    patch.setattr(neighborhood, "_FLOAT32_WORDS", 1 if single else block + 1)
 
 
 @given(batched_searches())
 def test_batched_search_matches_plain_python_reference(case):
-    rows, queries, n, project, block = case
+    rows, queries, n, project, block, tile, single = case
     words = [f"w{i}" for i in range(len(rows))]
     emb = embedding(words, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
+        patch_search(patch, block, tile, 4, single)
         clouds = list(punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project))
     assert [cloud.center for cloud in clouds] == [words[q] for q in queries]
     assert len(clouds) == len(queries)
@@ -223,6 +231,73 @@ def test_batched_search_matches_plain_python_reference(case):
             )
         else:
             assert np.array_equal(cloud.points, emb.vectors[kept].reshape(-1, 4))
+
+
+@pytest.mark.parametrize("single", [True, False], ids=["float32", "float64"])
+@pytest.mark.parametrize("block,tile", [(1, 1), (3, 3), (20, 7), (40, 40)])
+def test_near_ties_rank_by_the_exact_similarity(single, block, tile):
+    # Twenty rows whose cosines to w step by 1e-12: one float32 value for all
+    # of them, twenty float64 values.  Their vocabulary order is shuffled, so
+    # a ranking by the float32 product and vocabulary order would differ.
+    rng = np.random.default_rng(7)
+    steps = rng.permutation(20)
+    angles = np.arccos(0.8 - 1e-12 * steps)
+    rows = [[1.0, 0.0, 0.0, 0.0]] + [[np.cos(a), np.sin(a), 0.0, 0.0] for a in angles]
+    rows += [[0.0, 0.0, 1.0, 0.0]] * 9 + [[0.5, 0.0, 0.0, 1.0]] * 10
+    words = [f"w{i}" for i in range(len(rows))]
+    emb = embedding(words, rows)
+    near = emb.vectors[1:21]
+    assert np.unique(near.astype(np.float32) @ emb.vectors[0].astype(np.float32)).size == 1
+    exact = near @ emb.vectors[0]
+    assert np.unique(exact).size == 20
+    order = 1 + np.argsort(-exact, kind="stable")
+    with pytest.MonkeyPatch.context() as patch:
+        patch_search(patch, block, tile, 4, single)
+        for n in (1, 7, 20):
+            assert punctured_neighborhood(emb, "w0", n).words == tuple(words[r] for r in order[:n])
+            projected = punctured_neighborhood(emb, "w0", n, project=True)
+            assert projected.words == tuple(words[r] for r in order[:n])
+        clouds = list(punctured_neighborhoods(emb, words[::-1], 8))
+    for center, cloud in zip(range(len(rows) - 1, -1, -1), clouds):
+        similarity = emb.vectors @ emb.vectors[center]
+        similarity[center] = -np.inf
+        expected = np.argsort(-similarity, kind="stable")[:8]
+        assert cloud.words == tuple(words[r] for r in expected)
+
+
+@pytest.mark.parametrize("single", [True, False], ids=["float32", "float64"])
+@pytest.mark.parametrize("tile", [1, 7, 64])
+def test_rows_the_float32_product_misorders_are_kept(single, tile):
+    # Sixty rows at exact cosines 0.8 + i * 1e-9 to w in R^100, whose float32
+    # similarities scatter over about 1e-7: below the cut, in float32, lie
+    # rows that the exact similarity ranks above it.
+    rng = np.random.default_rng(3)
+    dim = 100
+    center = random_unit(rng, dim)
+    cosines = 0.8 + 1e-9 * rng.permutation(60)
+    rows = [center]
+    for cosine in cosines:
+        other = random_unit(rng, dim)
+        other -= (other @ center) * center
+        other /= np.linalg.norm(other)
+        rows.append(cosine * center + np.sqrt(1.0 - cosine**2) * other)
+    rows += list(random_unit(rng, dim) * 0.5 for _ in range(40))
+    words = [f"w{i}" for i in range(len(rows))]
+    emb = embedding(words, rows)
+    single32 = emb.vectors.astype(np.float32) @ emb.vectors[0].astype(np.float32)
+    exact = emb.vectors[1:61] @ emb.vectors[0]
+    order = 1 + np.argsort(-exact, kind="stable")
+    assert np.unique(exact).size == 60
+    assert single32[order[10:]].max() > single32[order[:10]].min()
+    with pytest.MonkeyPatch.context() as patch:
+        patch_search(patch, 1, tile, dim, single)
+        for n in (1, 10, 30):
+            assert punctured_neighborhood(emb, "w0", n).words == tuple(words[r] for r in order[:n])
+
+
+def random_unit(rng, dim):
+    row = rng.standard_normal(dim)
+    return row / np.linalg.norm(row)
 
 
 def test_coincident_copies_past_n_widen_the_search():
@@ -264,15 +339,38 @@ def test_one_block_product_is_alive_at_a_time(monkeypatch):
     rows = np.random.default_rng(0).standard_normal((20_000, 4))
     emb = embedding([f"w{i}" for i in range(len(rows))], rows)
     monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 10 * len(emb))
-    product_bytes = 10 * len(emb) * 8
-    tracemalloc.start()
-    try:
-        for _ in punctured_neighborhoods(emb, emb.words[:40], 5, project=True):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert product_bytes <= peak < 1.5 * product_bytes
+    # A full block's float32 product, its partitioned copy and the cast
+    # tile fill the per-worker budget, whatever the vocabulary size; the
+    # rest is each word's kept rows, a few times n.
+    budget = 10 * len(emb) * 4
+    for words, low in ((neighborhood._BLOCK_WORDS, 0.9 * budget), (40, 0)):
+        tracemalloc.start()
+        try:
+            for _ in punctured_neighborhoods(emb, emb.words[:words], 5, project=True):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert low <= peak < 1.25 * budget
+
+
+def test_blocks_hold_fewer_words_at_large_n(monkeypatch):
+    rows = np.random.default_rng(1).standard_normal((30, 4))
+    words = [f"w{i}" for i in range(30)]
+    emb = embedding(words, rows)
+    expected = list(punctured_neighborhoods(emb, words, 20, project=True))
+    original, widths = neighborhood._candidates, []
+
+    def counted(vectors, centers, k):
+        widths.append(len(centers))
+        return original(vectors, centers, k)
+
+    monkeypatch.setattr(neighborhood, "_candidates", counted)
+    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 2 * 21)
+    clouds = list(punctured_neighborhoods(emb, words, 20, project=True))
+    assert widths == [2] * 15
+    assert [cloud.words for cloud in clouds] == [cloud.words for cloud in expected]
+    assert all(np.array_equal(a.points, b.points) for a, b in zip(clouds, expected))
 
 
 class TestUpFrontChecks:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import EmbeddingSet, ParseError, _util, save_tps_csv, tps, tps_batch, tps_score
+from topolysemy import EmbeddingSet, ParseError, _util, neighborhood, save_tps_csv, tps, tps_batch, tps_score
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.tps import PercentileTable, TpsReport, load_tps_csv, predicted_k
 
@@ -122,9 +122,13 @@ class TestTpsBatch:
         emb = l2_normalize_all(EmbeddingSet(words=tuple(f"w{i}" for i in range(40)), vectors=vectors))
         words = [f"w{i}" for i in (39, 3, 0, 21, 7, 11, 20, 5, 16, 30)]
         singles = [tps_score(emb, w, 6) for w in words]
-        monkeypatch.setattr(_util, "CHUNK_ELEMENTS", block * len(emb))
-        assert tps_batch(emb, words, n=6, workers=1) == singles
-        assert tps_batch(emb, words, n=6, workers=2) == singles
+        monkeypatch.setattr(neighborhood, "_BLOCK_WORDS", block)
+        for tile in (1, 3, 40):
+            for single in (1, block + 1):
+                monkeypatch.setattr(_util, "CHUNK_ELEMENTS", tile * (2 * block + 5))
+                monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", single)
+                assert tps_batch(emb, words, n=6, workers=1) == singles
+                assert tps_batch(emb, words, n=6, workers=2) == singles
 
 
 class TestPercentileTable:

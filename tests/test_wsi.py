@@ -3,6 +3,7 @@
 import logging
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from topolysemy import (
     run_opn,
     write_key,
 )
-from topolysemy import wsi
+from topolysemy import neighborhood, wsi
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.wsi import SenseClusters, SenseKey, load_instances, resolve_target, target_lemma
 
@@ -293,7 +294,7 @@ class TestRunOpn:
 
             return call
 
-        for name in ("tps_batch", "induce_senses"):
+        for name in ("tps_batch", "_cluster_senses"):
             monkeypatch.setattr(wsi, name, counted(name))
         config = OpnConfig(n=6, backend=KmeansConfig(k=None, tps_n=20))
         with pytest.raises(ValueError, match="require L2-normalized embeddings"):
@@ -301,7 +302,61 @@ class TestRunOpn:
         assert calls == []
         # The same set, marked unit, goes through both steps.
         run_opn(data.embeddings, instances, config)
-        assert calls[0] == "tps_batch" and calls.count("induce_senses") == 2
+        assert calls[0] == "tps_batch" and calls.count("_cluster_senses") == 2
+
+    @pytest.mark.parametrize("backend", [DbscanConfig(), KmeansConfig(k=3)], ids=["dbscan", "kmeans"])
+    def test_targets_share_one_candidate_pass(self, monkeypatch, tmp_path, backend):
+        # TPS_THREADS is capped at the CPU count; two CPUs keep two workers.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data = planted_two_sense_dataset()
+        targets = [f"b{b}w{i}" for i in range(12) for b in (1, 0)]
+        instances = [
+            Instance(target=t, id=f"{t}.{i}", tokens=data.instances[i].tokens) for t in targets for i in (0, 15)
+        ]
+        config = OpnConfig(n=12, backend=backend)
+        senses = {t: induce_senses(data.embeddings, t, config.n, backend) for t in targets}
+        expected = SenseKey(
+            rows=tuple(
+                (instance.target, instance.id, assign_instance(instance, senses[instance.target]))
+                for instance in sorted(instances, key=lambda inst: (inst.target, inst.id))
+            )
+        )
+        write_key(expected, tmp_path / "expected.key")
+        original, passes = neighborhood._candidates, []
+
+        def counted(vectors, rows, k):
+            passes.append(len(rows))
+            return original(vectors, rows, k)
+
+        monkeypatch.setattr(neighborhood, "_candidates", counted)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TPS_THREADS", threads)
+            passes.clear()
+            result = run_opn(data.embeddings, instances, config)
+            assert passes == [24]
+            assert result.senses == senses
+            write_key(result.key, tmp_path / "system.key")
+            assert (tmp_path / "system.key").read_bytes() == (tmp_path / "expected.key").read_bytes()
+
+    def test_workers_take_every_cloud_once_under_stress(self, monkeypatch):
+        # Eight workers on two CPUs, passes of five targets and a short switch
+        # interval: a cloud taken twice or clustered for the wrong target
+        # would change the senses.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(neighborhood, "_BLOCK_WORDS", 5)
+        data = planted_two_sense_dataset()
+        targets = [f"b{b}w{i}" for i in range(24) for b in (1, 0)]
+        instances = [Instance(target=t, id="x", tokens=("pivot",)) for t in targets]
+        config = OpnConfig(n=7)
+        expected = {t: induce_senses(data.embeddings, t, config.n, config.backend) for t in targets}
+        monkeypatch.setenv("TPS_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert run_opn(data.embeddings, instances, config).senses == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_kmeans_auto_k_single_target_is_degenerate(self):
         data = planted_two_sense_dataset()
