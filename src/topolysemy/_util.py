@@ -19,7 +19,8 @@ THREADS_ENV = "TPS_THREADS"
 # Element budget of one row chunk of a product, whatever the number of rows:
 # 4M float32 values, 16 MB.  A neighbor search pass holds its block product,
 # the product's partitioned copy and its float32 vocabulary tile within it,
-# per worker; dbscan's eps pairs hold one float32 chunk.
+# and its words' rows, running top values and kept rows within as much
+# again, per worker; dbscan's eps pairs hold one float32 chunk.
 CHUNK_ELEMENTS = 4_000_000
 
 # A float32 similarity is trusted only outside a margin.  Let u = 2^-24, the

@@ -159,12 +159,18 @@ def dbscan(points: np.ndarray, eps: float = 0.09, min_pts: int = 2) -> Clusterin
     return Clustering(labels=labels, n_clusters=first.size)
 
 
-def _squared_distances(points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances of points (squared norms point_sq) to centers, clamped at zero."""
+def _squared_distances(
+    points: np.ndarray, point_sq: np.ndarray, centers: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances of points (squared norms point_sq) to centers, clamped at zero.
+
+    ``out`` is an optional pair of n x k buffers to compute in; the result is its first.
+    """
     # Two n x k arrays, not three; (-2p) + (a + b) rounds as (a + b) - 2p does.
-    sq = points @ centers.T
+    product, norms = out if out is not None else (None, None)
+    sq = np.matmul(points, centers.T, out=product)
     sq *= -2.0
-    sq += point_sq[:, None] + (centers * centers).sum(axis=1)[None, :]
+    sq += np.add(point_sq[:, None], (centers * centers).sum(axis=1)[None, :], out=norms)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -218,10 +224,13 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
     rng = np.random.default_rng(seed)
     centers = farthest_first_centers(points, k, rng)
     point_sq = (points * points).sum(axis=1)
+    # Every step computes in the same two n x k buffers: fresh ones would be
+    # fresh mappings at large n k, faulted in page by page on every step.
+    buffers = (np.empty((points.shape[0], k)), np.empty((points.shape[0], k)))
     # No step labels a point NOISE, so the first step is never a fixpoint.
     labels = np.full(points.shape[0], NOISE, dtype=np.int64)
     for n_iter in range(1, max_iter + 1):
-        sq = _squared_distances(points, point_sq, centers)
+        sq = _squared_distances(points, point_sq, centers, buffers)
         step = sq.argmin(axis=1)
         empty = np.flatnonzero(np.bincount(step, minlength=k) == 0)
         if empty.size:
@@ -238,10 +247,15 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100) -> Km
         labels = step
         if converged:
             break
+    del sq, buffers
+    # ((points - centers[labels]) ** 2).sum(), in one n x d array.
+    offsets = centers[labels]
+    np.subtract(points, offsets, out=offsets)
+    np.square(offsets, out=offsets)
     return KmeansResult(
         clustering=Clustering(labels=labels, n_clusters=k),
         centers=centers,
-        objective=float(((points - centers[labels]) ** 2).sum()),
+        objective=float(offsets.sum()),
         n_iter=n_iter,
         converged=converged,
     )

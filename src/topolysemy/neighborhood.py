@@ -9,9 +9,12 @@ Search runs on blocks of center words, one candidate pass per block: the
 block is multiplied with one vocabulary tile at a time (in float32, the
 tile cast into a reused buffer, unless the block is narrow), each word
 keeps the rows near its running k-th largest product similarity, and an
-exact float64 per-row similarity ranks them.  The product, its partitioned
-copy and the cast tile hold at most CHUNK_ELEMENTS float32 values (16 MB),
-whatever the vocabulary size.
+exact float64 per-row similarity ranks them.  A pass holds at most twice
+CHUNK_ELEMENTS float32 values (32 MB) per worker, whatever the vocabulary
+size: the tile, the product and its partitioned copy within
+CHUNK_ELEMENTS, and the words' rows, running top values and kept rows
+within as much again, the block narrowed at large n to fit.  Only rows
+tied with a word's cut within the float32 band can add to that.
 """
 
 from __future__ import annotations
@@ -30,12 +33,26 @@ COINCIDENT_EPS = 1e-12
 
 # Center words per candidate pass; every pass reads the whole vocabulary.
 _BLOCK_WORDS = 256
-# Blocks of at least this many words multiply in float32.  A narrower block
-# multiplies the float64 tiles as they are: casting a tile costs more than
-# the float32 product saves.  At one thread, over 50,000 x 100 rows, the
-# products, copies and partitions of one pass took 2.3 ms in float64 and
-# 4.0 ms in float32 at 8 words, 9.7 and 8.3 ms at 60.
-_FLOAT32_WORDS = 48
+# Blocks of at least this many words multiply in float32; a narrower block
+# multiplies the float64 rows as they are, since casting a tile costs it
+# more than the float32 product saves.  Per word of a pass at one thread
+# over 100-dimensional rows, float32 took 0.63 ms and float64 0.67 at 32
+# words (127,151 rows, n = 50), 0.25 and 0.25 (50,000 rows, n = 50), 0.16
+# and 0.15 (20,000 rows, n = 1000); at 24 words 0.30 and 0.28 ms (50,000
+# rows, n = 50) and 0.18 and 0.15 (20,000 rows, n = 1000); at 16 words
+# float32 took 13-37% longer.
+_FLOAT32_WORDS = 32
+# Float32 values' worth of bytes that one word of a pass takes, per unit
+# of n + 1 + d: its block row (gathered in float64, then cast or copied),
+# its running k = n + 1 largest similarities and its kept rows.  Between
+# prunes a block keeps at most 3k rows per word, an int64 key and a
+# float32 value each, and a prune holds them with their concatenated copy,
+# its word indices, floors and mask and the pruned result: about 25 bytes
+# per row, 75k bytes.  The running top, a k-column array merged with up to
+# k more, takes 16k bytes more.  That is about 23 values per unit of k,
+# and at most 4 per unit of d; 32 leaves room for the temporaries of
+# small k.
+_KEPT_VALUES = 32
 
 
 @dataclass(frozen=True)
@@ -79,11 +96,12 @@ def punctured_neighborhoods(
     computed row by row, so the result does not depend on which words
     share a block or a tile; equal similarities keep ascending vocabulary
     order.  Blocks of up to 256 words, and of at most
-    CHUNK_ELEMENTS // (n + 1), share one candidate pass over the
-    vocabulary, which holds at most CHUNK_ELEMENTS float32 values (16 MB)
-    of products and tiles plus a few times n similarities and kept rows
-    per word: a caller done with each cloud before the next holds one pass
-    and one cloud, whatever the number of words.
+    CHUNK_ELEMENTS // (32 (n + 1 + d)) but at least one, share one candidate pass over the
+    vocabulary, which holds at most twice CHUNK_ELEMENTS float32 values
+    (32 MB) of tiles, products, similarities and kept rows, plus the rows
+    tied within the float32 band with a word's (n + 1)-th largest
+    similarity: a caller done with each cloud before the next holds one
+    pass and one cloud, whatever the number of words.
 
     With ``project``, each neighbor v becomes (v - w) / ||v - w|| for the
     center vector w.  Neighbors within COINCIDENT_EPS of w cannot be
@@ -98,9 +116,9 @@ def punctured_neighborhoods(
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
     rows = [embeddings.row(word) for word in words]
-    # Each word of a pass holds its running n + 1 largest similarities and
-    # kept rows, so a block at large n has fewer words.
-    block = min(_BLOCK_WORDS, chunk_rows(n + 1))
+    # Each word of a pass holds its row, its running n + 1 largest
+    # similarities and its kept rows, so a block at large n has fewer words.
+    block = min(_BLOCK_WORDS, chunk_rows(_KEPT_VALUES * (n + 1 + embeddings.dim)))
     return (
         cloud
         for start in range(0, len(rows), block)
@@ -123,35 +141,49 @@ def _block_clouds(
         yield _cloud(embeddings, row, candidates, n, project)
 
 
+def _tile_rows(width: int, dim: int, dtype: type) -> int:
+    """Vocabulary rows per tile, whose rows, product and product copy fit CHUNK_ELEMENTS float32 values.
+
+    A float32 tile is sized for a full block: its cast rows and a 256-word
+    product and copy fill the budget, and a narrower block holds less.
+    Sized for a 60-word block instead, it held 16 MB, not 5.7 MB, and took
+    0.66 ms per word, not 0.51, over 127,151 x 100 rows at n = 50.  A
+    float64 block, narrower than _FLOAT32_WORDS, sizes its tiles for its
+    own width: sized for a full block, a one-word pass over 50,000 x 100
+    rows at n = 5000 took 1.93 ms, not 1.53.
+    """
+    if dtype is np.float32:
+        return chunk_rows(2 * _BLOCK_WORDS + dim)
+    return chunk_rows(4 * width + dim)
+
+
 def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.ndarray]:
     """For each center row, the ascending rows that may be among its k most similar.
 
     Each vocabulary tile is multiplied with the block into one reused
-    product, in float32 (the tile cast into one reused buffer) from
-    _FLOAT32_WORDS words on and in float64 below, where the cast costs more
-    than it saves.  A partitioned copy of the product gives each word's k
-    largest values of the tile, which merge with the k largest so far into
-    the running k-th largest, the cut.  Rows are kept while their
-    similarity reaches the cut less the band, rounded outward.  The cut and
-    a row's similarity are both products, each within _float32_margin of
-    the exact similarity (a float64 product is far closer), so the band is
-    twice that: the final cut is the k-th largest of the whole vocabulary,
-    so the exact (k - 1)-th nearest row but the center lies within one
-    margin below it, and so does every row tied with or nearer than that
-    one, within one more margin.  Product, copy and tile hold at most
-    CHUNK_ELEMENTS float32 values; the kept rows are pruned to the cut
-    whenever they outnumber 2k per word.
+    product: in float32, the tile cast into one reused buffer, from
+    _FLOAT32_WORDS words on, and in float64 below.  A partitioned copy of
+    the product gives each word's k largest values of the tile, which merge
+    with the k largest so far into the running k-th largest, the cut.  Rows
+    are kept while their similarity reaches the cut less the band, rounded
+    outward.  The cut and a row's similarity are both products, each within
+    _float32_margin of the exact similarity (a float64 product is far
+    closer), so the band is twice that: the final cut is the k-th largest
+    of the whole vocabulary, so the exact (k - 1)-th nearest row but the
+    center lies within one margin below it, and so does every row tied with
+    or nearer than that one, within one more margin.  Tile, product and
+    copy hold at most CHUNK_ELEMENTS float32 values.  The kept rows are
+    pruned to the cut whenever they outnumber 2k per word; since a tile
+    adds at most k rows per word beyond those tied within the band with the
+    cut, each word holds at most _KEPT_VALUES * (k + d) float32 values'
+    worth of its row, kept rows and running top.
     """
     count, dim = vectors.shape
     width = len(rows)
-    single = width >= _FLOAT32_WORDS
-    dtype = np.float32 if single else np.float64
+    dtype = np.float32 if width >= _FLOAT32_WORDS else np.float64
     block = vectors[rows].astype(dtype)
-    # Float32 tiles fill the budget at a full block, so a narrower block
-    # holds less; float64 tiles are the vocabulary's own rows, and their
-    # product and copy fill the same bytes.
-    tile = min(count, chunk_rows(2 * _BLOCK_WORDS + dim) if single else chunk_rows(4 * width))
-    cast = np.empty((tile, dim), dtype=np.float32) if single else None
+    tile = min(count, _tile_rows(width, dim, dtype))
+    cast = np.empty((tile, dim), dtype=np.float32) if dtype is np.float32 else None
     product = np.empty(width * tile, dtype=dtype)
     copy = np.empty(width * tile, dtype=dtype)
     band = 2.0 * _float32_margin(dim)
@@ -187,8 +219,11 @@ def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.nda
         values.append(similarities.ravel()[flat])
         if start + span == count or sum(piece.size for piece in keys) > 2 * width * k:
             found, value = np.concatenate(keys), np.concatenate(values)
+            keys.clear()
+            values.clear()
             kept = value >= floor[found // count]
-            keys, values = [found[kept]], [value[kept]]
+            keys.append(found[kept])
+            values.append(value[kept])
     found = keys[0]
     found.sort()
     return np.split(found % count, np.cumsum(np.bincount(found // count, minlength=width))[:-1])

@@ -194,30 +194,31 @@ def test_matches_plain_python_reference(case):
 
 @st.composite
 def batched_searches(draw):
-    """(rows, queries, n, project, block, tile, single): every word queried, in any order."""
+    """(rows, queries, n, project, block, tile, float32_words): every word queried, in any order."""
     rows, _, n = draw(planted_vocabularies())
     if draw(st.booleans()):
         n = len(rows) - 1
     queries = draw(st.permutations(range(len(rows))))
     block = draw(st.sampled_from([1, 3, len(rows)]))
     tile = draw(st.sampled_from([1, 3, len(rows)]))
-    return rows, queries, n, draw(st.booleans()), block, tile, draw(st.booleans())
+    float32_words = draw(st.sampled_from([1, len(rows) + 1]))
+    return rows, queries, n, draw(st.booleans()), block, tile, float32_words
 
 
-def patch_search(patch, block, tile, dim, single):
-    """Candidate passes of `block` words over vocabulary tiles of `tile` rows, in float32 or float64."""
+def patch_search(patch, block, tile, float32_words=1):
+    """Candidate passes of `block` words over vocabulary tiles of `tile` rows, float32 from `float32_words` words."""
     patch.setattr(neighborhood, "_BLOCK_WORDS", block)
-    patch.setattr(_util, "CHUNK_ELEMENTS", tile * (2 * block + dim))
-    patch.setattr(neighborhood, "_FLOAT32_WORDS", 1 if single else block + 1)
+    patch.setattr(neighborhood, "_tile_rows", lambda width, dim, dtype: tile)
+    patch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
 
 
 @given(batched_searches())
 def test_batched_search_matches_plain_python_reference(case):
-    rows, queries, n, project, block, tile, single = case
+    rows, queries, n, project, block, tile, float32_words = case
     words = [f"w{i}" for i in range(len(rows))]
     emb = embedding(words, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch_search(patch, block, tile, 4, single)
+        patch_search(patch, block, tile, float32_words)
         clouds = list(punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project))
     assert [cloud.center for cloud in clouds] == [words[q] for q in queries]
     assert len(clouds) == len(queries)
@@ -233,9 +234,8 @@ def test_batched_search_matches_plain_python_reference(case):
             assert np.array_equal(cloud.points, emb.vectors[kept].reshape(-1, 4))
 
 
-@pytest.mark.parametrize("single", [True, False], ids=["float32", "float64"])
 @pytest.mark.parametrize("block,tile", [(1, 1), (3, 3), (20, 7), (40, 40)])
-def test_near_ties_rank_by_the_exact_similarity(single, block, tile):
+def test_near_ties_rank_by_the_exact_similarity(block, tile):
     # Twenty rows whose cosines to w step by 1e-12: one float32 value for all
     # of them, twenty float64 values.  Their vocabulary order is shuffled, so
     # a ranking by the float32 product and vocabulary order would differ.
@@ -252,7 +252,7 @@ def test_near_ties_rank_by_the_exact_similarity(single, block, tile):
     assert np.unique(exact).size == 20
     order = 1 + np.argsort(-exact, kind="stable")
     with pytest.MonkeyPatch.context() as patch:
-        patch_search(patch, block, tile, 4, single)
+        patch_search(patch, block, tile)
         for n in (1, 7, 20):
             assert punctured_neighborhood(emb, "w0", n).words == tuple(words[r] for r in order[:n])
             projected = punctured_neighborhood(emb, "w0", n, project=True)
@@ -265,9 +265,8 @@ def test_near_ties_rank_by_the_exact_similarity(single, block, tile):
         assert cloud.words == tuple(words[r] for r in expected)
 
 
-@pytest.mark.parametrize("single", [True, False], ids=["float32", "float64"])
 @pytest.mark.parametrize("tile", [1, 7, 64])
-def test_rows_the_float32_product_misorders_are_kept(single, tile):
+def test_rows_the_float32_product_misorders_are_kept(tile):
     # Sixty rows at exact cosines 0.8 + i * 1e-9 to w in R^100, whose float32
     # similarities scatter over about 1e-7: below the cut, in float32, lie
     # rows that the exact similarity ranks above it.
@@ -290,7 +289,7 @@ def test_rows_the_float32_product_misorders_are_kept(single, tile):
     assert np.unique(exact).size == 60
     assert single32[order[10:]].max() > single32[order[:10]].min()
     with pytest.MonkeyPatch.context() as patch:
-        patch_search(patch, 1, tile, dim, single)
+        patch_search(patch, 1, tile)
         for n in (1, 10, 30):
             assert punctured_neighborhood(emb, "w0", n).words == tuple(words[r] for r in order[:n])
 
@@ -340,8 +339,8 @@ def test_one_block_product_is_alive_at_a_time(monkeypatch):
     emb = embedding([f"w{i}" for i in range(len(rows))], rows)
     monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 10 * len(emb))
     # A full block's float32 product, its partitioned copy and the cast
-    # tile fill the per-worker budget, whatever the vocabulary size; the
-    # rest is each word's kept rows, a few times n.
+    # tile fill the per-worker budget, whatever the vocabulary size; at
+    # n = 5 each word's row, running top values and kept rows add little.
     budget = 10 * len(emb) * 4
     for words, low in ((neighborhood._BLOCK_WORDS, 0.9 * budget), (40, 0)):
         tracemalloc.start()
@@ -352,6 +351,36 @@ def test_one_block_product_is_alive_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
         assert low <= peak < 1.25 * budget
+
+
+@pytest.mark.parametrize("float32_words", [1, 2], ids=["float32", "float64"])
+def test_a_pass_holds_at_most_twice_the_budget(monkeypatch, float32_words):
+    # At n = 5000 a block holds one word, whose tiles of 326 rows in
+    # float32 and 1,923 in float64 hold fewer rows than n + 1.  The word's
+    # running top and kept rows take about half the budget.
+    rows = np.random.default_rng(2).standard_normal((20_000, 100))
+    emb = embedding([f"w{i}" for i in range(len(rows))], rows)
+    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 10 * len(emb))
+    monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
+    budget = 10 * len(emb) * 4
+    original, passes = neighborhood._candidates, []
+
+    def traced(vectors, centers, k):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        found = original(vectors, centers, k)
+        passes.append((len(centers), tracemalloc.get_traced_memory()[1] - start))
+        return found
+
+    monkeypatch.setattr(neighborhood, "_candidates", traced)
+    tracemalloc.start()
+    try:
+        for _ in punctured_neighborhoods(emb, emb.words[:3], 5000):
+            pass
+    finally:
+        tracemalloc.stop()
+    assert [width for width, _ in passes] == [1, 1, 1]
+    assert all(0.4 * budget < peak < 2 * budget for _, peak in passes)
 
 
 def test_blocks_hold_fewer_words_at_large_n(monkeypatch):
@@ -366,7 +395,7 @@ def test_blocks_hold_fewer_words_at_large_n(monkeypatch):
         return original(vectors, centers, k)
 
     monkeypatch.setattr(neighborhood, "_candidates", counted)
-    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 2 * 21)
+    monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 2 * neighborhood._KEPT_VALUES * (21 + 4))
     clouds = list(punctured_neighborhoods(emb, words, 20, project=True))
     assert widths == [2] * 15
     assert [cloud.words for cloud in clouds] == [cloud.words for cloud in expected]

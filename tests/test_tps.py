@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from topolysemy import EmbeddingSet, ParseError, _util, neighborhood, save_tps_csv, tps, tps_batch, tps_score
+from topolysemy import EmbeddingSet, ParseError, neighborhood, save_tps_csv, tps, tps_batch, tps_score
 from topolysemy.embeddings import l2_normalize_all
 from topolysemy.tps import PercentileTable, TpsReport, load_tps_csv, predicted_k
 
@@ -124,9 +124,9 @@ class TestTpsBatch:
         singles = [tps_score(emb, w, 6) for w in words]
         monkeypatch.setattr(neighborhood, "_BLOCK_WORDS", block)
         for tile in (1, 3, 40):
-            for single in (1, block + 1):
-                monkeypatch.setattr(_util, "CHUNK_ELEMENTS", tile * (2 * block + 5))
-                monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", single)
+            for float32_words in (1, block + 1):
+                monkeypatch.setattr(neighborhood, "_tile_rows", lambda width, dim, dtype: tile)
+                monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
                 assert tps_batch(emb, words, n=6, workers=1) == singles
                 assert tps_batch(emb, words, n=6, workers=2) == singles
 
