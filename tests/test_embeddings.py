@@ -1,5 +1,6 @@
 """Vector file parsing, normalization, tokenization, and count tables."""
 
+import io
 import math
 import os
 import signal
@@ -310,6 +311,95 @@ def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers,
     assert len(forks) == workers - 1
 
 
+# A worker's rows start at the count of lines before its range, so blank
+# lines before a range send the whole body to the serial pass; blank lines
+# within the last range do not.
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4 1\na 1\n\nb 2\nc 3\nd 4\n",
+        "4 1\na 1\nb 2\nc 3\n\n  \nd 4\n\n",
+        "6 1\n\n\na 1\nb 2\n \nc 3\nd 4\n\ne 5\nf 6\n",
+        "4 2\r\na 1 2\r\nb 3 4\r\n\r\nc 5 6\r\nd 7 8\r\n",
+        "4 1\na 1\nb 2\nc 3\nd 4",
+        "4 1\na 1\n\nb 2\nc 3\nd 4",
+        "4 2\n10\u00a0000 0 1\n\u3000x 1 0\nx 1 1\nx\u3000 2 1\n",
+        "3 1\na 1\nb 2\nc 3\nd 4\n",
+        "2 1\na 1\n\nb 2\n\nc 3\n",
+        "5 1\na 1\nb 2\nc 3\nd 4\n",
+        "5 1\na 1\n\nb 2\nc 3\n\nd 4\n\n",
+        "4 1\na 1\n\nb 2\na 3\nc 4\n",
+        "4 1\na 1\n\nb 2\nc x\nd 4\n",
+        "4 1\na 1\nb 2\n\nc 3\nb 4\n",
+    ],
+    ids=[
+        "blank-before-a-range",
+        "blanks-in-the-last-range",
+        "blanks-throughout",
+        "crlf",
+        "no-final-newline",
+        "blank-and-no-final-newline",
+        "non-ascii-space-words",
+        "surplus-row",
+        "surplus-row-after-blanks",
+        "missing-row",
+        "missing-row-after-blanks",
+        "duplicate-after-a-blank",
+        "unparseable-after-a-blank",
+        "duplicate-across-a-blank",
+    ],
+)
+def test_ranges_load_as_the_reference(tmp_path, monkeypatch, workers, text):
+    path = tmp_path / "v.vec"
+    path.write_bytes(text.encode("utf-8"))
+    parse_in_ranges(monkeypatch, workers)
+    assert_loads_as_the_reference(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_lone_cr_is_whitespace_in_every_range(tmp_path, monkeypatch, workers):
+    # The reference reads universal newlines, where a lone \r ends a line.
+    path = tmp_path / "v.vec"
+    path.write_bytes(b"4 2\na 1\r2\nb\r3 4\nc 5 6\nd 7\r8\n")
+    parse_in_ranges(monkeypatch, workers)
+    emb = load_vec_file(path)
+    assert emb.words == ("a", "b", "c", "d")
+    assert emb.vectors.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+
+
+def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch):
+    # Lines of one length: the body splits after its fourth row.
+    rows = np.arange(8 * 50, dtype=np.float64).reshape(8, 50) % 7 + 1.25
+    path = tmp_path / "v.vec"
+    save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(8)), vectors=rows), path)
+    fork, sent = embeddings._fork, []
+
+    def draining(*args):
+        pid, reader = fork(*args)
+        with reader:
+            data = reader.read()
+        sent.append(len(data))
+        return pid, io.BytesIO(data)
+
+    blocks, parent, parsed = embeddings._line_blocks, os.getpid(), []
+
+    def recording(handle, size, step):
+        if os.getpid() == parent:
+            parsed.append(size)
+        return blocks(handle, size, step)
+
+    monkeypatch.setattr(embeddings, "_fork", draining)
+    monkeypatch.setattr(embeddings, "_line_blocks", recording)
+    parse_in_ranges(monkeypatch, 2)
+    emb = load_vec_file(path)
+    assert emb.vectors.tobytes() == rows.tobytes()
+    # This process parsed its own range only: it took the worker's rows, with no serial pass.
+    assert len(parsed) == 1 and parsed[0] is not None
+    # The worker sends the words of the last four rows and the row they start at.
+    assert len(sent) == 1 and 0 < sent[0] < rows[4:].nbytes
+
+
 @pytest.mark.parametrize("end", ["exit", "raise", "kill"])
 def test_worker_that_dies_names_the_file(tmp_path, monkeypatch, end):
     path = write(tmp_path / "v.vec", "4 1\na 1\nb 1\nc 1\nd 1\n")
@@ -446,6 +536,22 @@ def test_load_unit_vectors_is_bit_identical_for_every_chunk_size(tmp_path, monke
     assert dropped == []
     assert emb.words == expected.words
     assert emb.vectors.tobytes() == expected.vectors.tobytes()
+
+
+@pytest.mark.parametrize("load", ["load_vec_file", "load_unit_vectors"])
+def test_a_load_checks_each_value_for_finiteness_once(tmp_path, monkeypatch, load):
+    # Blocks of two rows; the zero row makes load_unit_vectors build a second set.
+    monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", 2 * 8 * 3)
+    path = write(tmp_path / "v.vec", "5 3\na 1 2 3\nb 0 0 0\nc 4 5 6\nd 7 8 9\ne 1 0 1\n")
+    isfinite, checked = np.isfinite, []
+
+    def counting(values, *args, **kwargs):
+        checked.append(np.size(values))
+        return isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    getattr(embeddings, load)(path)
+    assert checked == [6, 6, 3]
 
 
 class TestEmbeddingSet:
