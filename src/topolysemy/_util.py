@@ -20,7 +20,7 @@ THREADS_ENV = "TPS_THREADS"
 # 4M float32 values, 16 MB.  A neighbor search pass holds its block product,
 # the product's partitioned copy and its float32 vocabulary tile within it,
 # and its words' rows, running top values and kept rows within as much
-# again, per worker; dbscan's eps pairs hold half of it.
+# again, per worker; dbscan's eps pairs hold at most half of it.
 CHUNK_ELEMENTS = 4_000_000
 
 # A float32 similarity is trusted only outside a margin.  Let u = 2^-24, the

@@ -19,6 +19,14 @@ NOISE = -1
 
 _UNIT_TOL = 1e-6
 
+# Float32 values of one eps-pair chunk's product, half the CHUNK_ELEMENTS
+# budget: 400 rows at n = 5000, an 8 MB product and a 2 MB mask per worker.
+# On the wsi-dbscan benchmark input (24 clouds of 5000 rows, 2 threads) a
+# full-budget chunk of 800 rows peaked at 150 MB VmHWM and took 20.2 ms of
+# eps pairs per cloud; 400 rows peaked at 121 MB in 19.7 ms, 200 rows at
+# 110 MB in 20.9 ms.
+_EPS_CHUNK_ELEMENTS = 2_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
@@ -80,22 +88,19 @@ def _eps_pairs(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Int32 index pairs (rows[i], cols[i]), rows < cols, within cosine distance eps.
 
     Pairs come in (row, col) order, each once and without the diagonal.
-    Each chunk of chunk_rows(2 n) rows is multiplied in float32 with the rows
-    at and after it only.  Pairs more than _float32_margin above the cut are
-    in and pairs below it are out; _exact_within decides the rest, so every
-    pair's decision depends only on its two rows, not on the chunk size.
+    Each chunk of at most _EPS_CHUNK_ELEMENTS / n rows, and chunk_rows(n),
+    is multiplied in float32 with the rows at and after it only.  Pairs
+    more than _float32_margin above the cut are in and pairs below it are
+    out; _exact_within decides the rest, so every pair's decision depends
+    only on its two rows, not on the chunk size.
     """
     n, dim = points.shape
     single = points.astype(np.float32)
     margin = _float32_margin(dim)
     floor = np.nextafter(np.float32(1.0 - eps - margin), np.float32(-np.inf))
     sure = np.nextafter(np.float32(1.0 - eps + margin), np.float32(np.inf))
-    # Half the CHUNK_ELEMENTS budget: 400 rows at n = 5000, an 8 MB product
-    # and a 2 MB mask per worker.  On the wsi-dbscan benchmark input (24
-    # clouds of 5000 rows, 2 threads) a full-budget chunk of 800 rows peaked
-    # at 150 MB VmHWM and took 20.2 ms of eps pairs per cloud; 400 rows
-    # peaked at 121 MB in 19.7 ms, 200 rows at 110 MB in 20.9 ms.
-    chunk = chunk_rows(2 * n)
+    # Within the global budget too, so that a smaller CHUNK_ELEMENTS shrinks these chunks.
+    chunk = min(chunk_rows(n), max(1, _EPS_CHUNK_ELEMENTS // max(1, n)))
     # One buffer for every chunk, so the chunks allocate no float arrays.
     buffer = np.empty(min(chunk, n) * n, dtype=np.float32)
     row_parts: list[np.ndarray] = []

@@ -41,12 +41,14 @@ _PARSE_BLOCK_BYTES = 64 * 1024
 # read a token holding one.
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Smallest byte range of a .vec body worth a forked parse worker; smaller
-# files are parsed in this process alone.  A worker first counts the
-# newlines before its range, at about 0.12 ns a byte (page-cached, numpy
-# compare and count) against about 9 ns a byte to parse: the last of W
-# workers counts (W - 1)/W of the body, 1.3% of its parse at W = 2 and 9%
-# at W = 8 (tps-vocab input, 83.5 MB, 2 vCPUs).
+# files are parsed in this process alone.  A worker first counts the lines
+# before its range that are not blank, at about 0.33 ns a byte
+# (page-cached, numpy compare and nonzero) against about 9 ns a byte to
+# parse: the last of W workers counts (W - 1)/W of the body, 3.6% of its
+# parse at W = 2 and 25% at W = 8 (tps-vocab input, 83.5 MB, 2 vCPUs).
 _MIN_RANGE_BYTES = 1 << 20
+# madvise(2)'s option number on Linux 5.14 and later; Python 3.11's mmap module has no name for it.
+_MADV_POPULATE_WRITE = 23
 
 _COUNT_RE = re.compile(r"[0-9]+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
@@ -131,9 +133,9 @@ def load_vec_file(path) -> EmbeddingSet:
     The N x d matrix is one shared anonymous mapping, made before any fork.
     The body is parsed in up to worker_count() newline-aligned byte ranges,
     all but the first in forked workers.  A worker counts the lines before
-    its range, parses its rows straight into the matrix from that row on,
-    and sends back only its words and that row.  An error, or a range whose
-    rows do not start where those before it end (blank lines before it),
+    its range that are not blank, parses its rows straight into the matrix
+    from that row on, and sends back only its words and that row.  An
+    error, or a range whose rows do not start where those before it end,
     is raised or settled by parsing the body again in this process.  A
     worker that dies raises ChildProcessError.
     """
@@ -175,14 +177,22 @@ def load_vec_file(path) -> EmbeddingSet:
             2; a worker's numbers only name an error, which stays there.
             """
             for first, lines in _line_blocks(handle, size, step):
+                fields = [line.split(None, 1) for line in lines]
+                # (row in the block, line) where each run of rows on consecutive lines starts.
+                runs = [(0, first)]
+                if not all(fields):  # blank lines hold no row
+                    kept = [at for at, split in enumerate(fields) if split]
+                    runs = [(row, first + at) for row, at in enumerate(kept) if not row or at > kept[row - 1] + 1]
+                    fields = [fields[at] for at in kept]
+                    if not fields:
+                        continue
                 start = base + len(index)
-                stop = start + len(lines)
+                stop = start + len(fields)
                 values = None
                 if stop <= declared:
-                    fields = [line.split(None, 1) for line in lines]
                     try:
                         values = _parse_numbers([rest for _, rest in fields], dim)
-                    except ValueError:  # a blank line, or a word alone
+                    except ValueError:  # a word alone
                         pass
                 if values is not None and np.isfinite(values).all():
                     try:
@@ -192,7 +202,7 @@ def load_vec_file(path) -> EmbeddingSet:
                     index.update(zip(words, range(start, stop)))
                     if len(index) == stop - base:
                         rows[start:stop] = values
-                        marks.append((start, first))
+                        marks.extend((start + row, line) for row, line in runs)
                         continue
                     # A word repeats or is not UTF-8: take the block's words out again, after every earlier one.
                     earlier = list(islice(index, start - base))
@@ -235,8 +245,8 @@ def load_vec_file(path) -> EmbeddingSet:
             """In a worker: store the rows of [start, end); send the row they start at and their words, or None."""
             index: dict[str, int] = {}
             with open(path, "rb") as own:
-                # A row per line before the range, unless blank lines or errors come before it.
-                offset = _newlines(own, len(header), start)
+                # The rows before the range, unless an error comes before it.
+                offset = _rows_before(own, len(header), start)
                 try:
                     parse(own, None if end is None else end - start, offset, index)
                 except ParseError:
@@ -253,6 +263,10 @@ def load_vec_file(path) -> EmbeddingSet:
             for start, end in zip(cuts, ends[1:]):
                 workers.append(_fork(send, start, end))
             parse(handle, None if ends[0] is None else ends[0] - len(header), 0, index)
+            if workers:
+                # The rows after this range are lines of 2 d + 1 bytes or more: a word, and d numbers after spaces.
+                left = (os.fstat(handle.fileno()).st_size - ends[0]) // (2 * dim + 1)
+                _populate(shared, len(index) * dim * 8, min(declared, len(index) + left) * dim * 8)
             for pid, reader in workers:
                 try:
                     theirs = pickle.load(reader)
@@ -263,7 +277,8 @@ def load_vec_file(path) -> EmbeddingSet:
                     raise ChildProcessError(
                         f"{path}: parse worker exited with status {status} before sending its words"
                     ) from None
-                # Their range holds an error, or their rows do not follow on from those before them.
+                # Their range holds an error, or their rows do not follow on from those before them
+                # (the file changed while it was read).
                 serial = theirs is None or theirs[0] != len(index)
                 if not serial:
                     offset, words = theirs
@@ -318,19 +333,48 @@ def _line_blocks(handle: BinaryIO, size: int | None, step: int) -> Iterator[tupl
         yield lineno + at, lines[at : at + step]
 
 
-def _newlines(handle: BinaryIO, start: int, stop: int) -> int:
-    """The newlines in handle's bytes [start, stop), read _PARSE_BLOCK_BYTES at a time; leave handle at stop."""
+def _rows_before(handle: BinaryIO, start: int, stop: int) -> int:
+    """The lines that are not blank in handle's bytes [start, stop), both line starts; leave handle at stop.
+
+    The bytes are read _PARSE_BLOCK_BYTES at a time, to count their newlines
+    and to find the lines whose first byte is b" " or below.  Each of those
+    is read again alone, to see whether it is blank.
+    """
     handle.seek(start)
-    text = np.empty(_PARSE_BLOCK_BYTES, dtype=np.uint8)
+    # text[0] is the byte before the latest read: a line starts after each newline in text[:got].
+    text = np.empty(_PARSE_BLOCK_BYTES + 1, dtype=np.uint8)
+    text[0] = ord("\n")
     newline = np.empty(_PARSE_BLOCK_BYTES, dtype=bool)
-    count = 0
-    while start < stop:
-        got = handle.readinto(text[: min(text.size, stop - start)])
+    lines, suspects, at = 0, [], start
+    while at < stop:
+        got = handle.readinto(text[1 : 1 + min(_PARSE_BLOCK_BYTES, stop - at)])
         if not got:
             break
-        count += int(np.count_nonzero(np.equal(text[:got], ord("\n"), out=newline[:got])))
-        start += got
-    return count
+        ends = np.flatnonzero(np.equal(text[:got], ord("\n"), out=newline[:got]))
+        lines += ends.size
+        suspects += (at + ends[text[ends + 1] <= ord(" ")]).tolist()
+        text[0] = text[got]
+        at += got
+    for at in suspects:
+        handle.seek(at)
+        lines -= not handle.readline().split()
+    handle.seek(stop)
+    return lines
+
+
+def _populate(shared: mmap.mmap, start: int, stop: int) -> None:
+    """Map shared's pages over bytes [start, stop) into this process, writable, where Linux can (5.14 and later).
+
+    MADV_POPULATE_WRITE takes the page faults of the rows that workers are
+    writing while this process waits for them, one call for all of them,
+    instead of one fault per 4 KiB page on its first pass over them.
+    """
+    start -= start % mmap.PAGESIZE
+    if start < stop:
+        try:
+            shared.madvise(_MADV_POPULATE_WRITE, start, stop - start)
+        except OSError:  # an older kernel, or no memory left to map them early
+            pass
 
 
 def _cuts(handle: BinaryIO) -> list[int]:

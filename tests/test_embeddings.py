@@ -70,10 +70,12 @@ class TestLoadVecFile:
         if block is not None:
             monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * 2)
         path = tmp_path / "v.vec"
-        path.write_bytes(b"2 2\na 1\r2\nb\r3 4\n")
-        emb = load_vec_file(path)
-        assert emb.words == ("a", "b")
-        assert emb.vectors.tolist() == [[1, 2], [3, 4]]
+        path.write_bytes(b"4 2\na 1\r2\nb\r3 4\nc 5 6\nd 7\r8\n")
+        for workers in (1, 2, 3, 8):
+            parse_in_ranges(monkeypatch, workers)
+            emb = load_vec_file(path)
+            assert emb.words == ("a", "b", "c", "d")
+            assert emb.vectors.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
 
     def test_crlf_loads_the_bits_of_lf(self, tmp_path, rng):
         rows = rng.standard_normal((5, 3)) * 10.0 ** rng.uniform(-300, 300, size=(5, 1))
@@ -119,6 +121,13 @@ class TestLoadVecFile:
     def test_duplicate_word(self, tmp_path):
         path = write(tmp_path / "v.vec", "2 1\na 1\na 2\n")
         with pytest.raises(ParseError, match="duplicate"):
+            load_vec_file(path)
+
+    def test_duplicate_names_the_first_line_across_blank_lines(self, tmp_path, monkeypatch):
+        # Blocks of three lines: the first holds a blank line before b's first row.
+        monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", 3 * 8 * 1)
+        path = write(tmp_path / "v.vec", "5 1\na 1\n\nb 2\nc 3\nd 4\nb 5\n")
+        with pytest.raises(ParseError, match=r":7: duplicate word 'b' \(first seen on line 4\)$"):
             load_vec_file(path)
 
     # Header fields follow the row grammar's ASCII digits: int() alone would
@@ -311,9 +320,8 @@ def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers,
     assert len(forks) == workers - 1
 
 
-# A worker's rows start at the count of lines before its range, so blank
-# lines before a range send the whole body to the serial pass; blank lines
-# within the last range do not.
+# A worker's rows start at the count of lines before its range that are not
+# blank, so blank lines before, within and after ranges keep the ranges.
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize(
     "text",
@@ -357,22 +365,16 @@ def test_ranges_load_as_the_reference(tmp_path, monkeypatch, workers, text):
     assert_loads_as_the_reference(path)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_lone_cr_is_whitespace_in_every_range(tmp_path, monkeypatch, workers):
-    # The reference reads universal newlines, where a lone \r ends a line.
-    path = tmp_path / "v.vec"
-    path.write_bytes(b"4 2\na 1\r2\nb\r3 4\nc 5 6\nd 7\r8\n")
-    parse_in_ranges(monkeypatch, workers)
-    emb = load_vec_file(path)
-    assert emb.words == ("a", "b", "c", "d")
-    assert emb.vectors.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
-
-
-def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch):
-    # Lines of one length: the body splits after its fourth row.
+@pytest.mark.parametrize("blanks", [(), (0,), (0, 2, 2, 5)], ids=["none", "after-the-header", "throughout"])
+def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch, blanks):
+    # Lines of one length: the body splits after about its fourth row.
     rows = np.arange(8 * 50, dtype=np.float64).reshape(8, 50) % 7 + 1.25
     path = tmp_path / "v.vec"
     save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(8)), vectors=rows), path)
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    for at in reversed(blanks):
+        lines.insert(at, b" \r\n")
+    path.write_bytes(header + b"".join(lines))
     fork, sent = embeddings._fork, []
 
     def draining(*args):
@@ -396,8 +398,34 @@ def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch):
     assert emb.vectors.tobytes() == rows.tobytes()
     # This process parsed its own range only: it took the worker's rows, with no serial pass.
     assert len(parsed) == 1 and parsed[0] is not None
-    # The worker sends the words of the last four rows and the row they start at.
-    assert len(sent) == 1 and 0 < sent[0] < rows[4:].nbytes
+    # The worker sends only its words and the row they start at, fewer bytes than one row.
+    assert len(sent) == 1 and 0 < sent[0] < rows[0].nbytes
+
+
+def test_a_kernel_without_populate_loads_the_same(tmp_path, monkeypatch):
+    rows = np.arange(8 * 50, dtype=np.float64).reshape(8, 50) % 7 + 1.25
+    path = tmp_path / "v.vec"
+    save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(8)), vectors=rows), path)
+    # madvise(2) refuses an option it does not know with EINVAL.
+    monkeypatch.setattr(embeddings, "_MADV_POPULATE_WRITE", 10_000)
+    parse_in_ranges(monkeypatch, 2)
+    assert load_vec_file(path).vectors.tobytes() == rows.tobytes()
+
+
+def test_a_short_file_maps_no_more_rows_than_its_text_holds(tmp_path, monkeypatch):
+    # Its header declares 100,000 rows of 4: 3.2 MB that an early mapping of every row would fill.
+    path = write(tmp_path / "v.vec", "100000 4\n" + "".join(f"w{i} 1 2 3 4\n" for i in range(8)))
+    populate, spans = embeddings._populate, []
+
+    def recording(shared, start, stop):
+        spans.append((start, stop))
+        populate(shared, start, stop)
+
+    monkeypatch.setattr(embeddings, "_populate", recording)
+    parse_in_ranges(monkeypatch, 2)
+    with pytest.raises(ParseError, match=r": header declares 100000 rows, found 8$"):
+        load_vec_file(path)
+    assert len(spans) == 1 and spans[0][1] <= 2 * 8 * 4 * 8
 
 
 @pytest.mark.parametrize("end", ["exit", "raise", "kill"])
