@@ -8,8 +8,6 @@ TSV tables.
 
 from __future__ import annotations
 
-import bisect
-import math
 import mmap
 import os
 import pickle
@@ -18,8 +16,7 @@ import signal
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -131,13 +128,14 @@ def load_vec_file(path) -> EmbeddingSet:
     words, or a row count that contradicts the header.
 
     The N x d matrix is one shared anonymous mapping, made before any fork.
-    The body is parsed in up to worker_count() newline-aligned byte ranges,
-    all but the first in forked workers.  A worker counts the lines before
-    its range that are not blank, parses its rows straight into the matrix
-    from that row on, and sends back only its words and that row.  An
-    error, or a range whose rows do not start where those before it end,
-    is raised or settled by parsing the body again in this process.  A
-    worker that dies raises ChildProcessError.
+    A body that _cuts leaves whole (small, one worker, or a pipe) takes one
+    _parse_serially pass, which names the first error.  Otherwise
+    _parse_range, which names no error, parses it in up to worker_count()
+    newline-aligned byte ranges, all but the first in forked workers, which
+    send back the row their range starts at and its words.  If a range
+    fails, does not follow on or repeats a word, or the rows are not N, the
+    serial pass parses the body again in this process.  A worker that dies
+    raises ChildProcessError.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -167,107 +165,38 @@ def load_vec_file(path) -> EmbeddingSet:
             ) from None
         rows = np.frombuffer(shared, dtype=np.float64, count=declared * dim).reshape(declared, dim)
         step = max(1, _PARSE_BLOCK_BYTES // (8 * dim))
-        # (row, line) where each run of rows on consecutive lines starts, to name a duplicate's first line.
-        marks: list[tuple[int, int]] = []
-
-        def parse(handle: BinaryIO, size: int | None, base: int, index: dict[str, int]) -> None:
-            """Check and store the lines in handle's next size bytes (to EOF when None) as rows from base on.
-
-            index maps each word stored to its row.  Lines are numbered from
-            2; a worker's numbers only name an error, which stays there.
-            """
-            for first, lines in _line_blocks(handle, size, step):
-                fields = [line.split(None, 1) for line in lines]
-                # (row in the block, line) where each run of rows on consecutive lines starts.
-                runs = [(0, first)]
-                if not all(fields):  # blank lines hold no row
-                    kept = [at for at, split in enumerate(fields) if split]
-                    runs = [(row, first + at) for row, at in enumerate(kept) if not row or at > kept[row - 1] + 1]
-                    fields = [fields[at] for at in kept]
-                    if not fields:
-                        continue
-                start = base + len(index)
-                stop = start + len(fields)
-                values = None
-                if stop <= declared:
-                    try:
-                        values = _parse_numbers([rest for _, rest in fields], dim)
-                    except ValueError:  # a word alone
-                        pass
-                if values is not None and np.isfinite(values).all():
-                    try:
-                        words = b"\n".join([word for word, _ in fields]).decode("utf-8").split("\n")
-                    except UnicodeDecodeError:
-                        words = []
-                    index.update(zip(words, range(start, stop)))
-                    if len(index) == stop - base:
-                        rows[start:stop] = values
-                        marks.extend((start + row, line) for row, line in runs)
-                        continue
-                    # A word repeats or is not UTF-8: take the block's words out again, after every earlier one.
-                    earlier = list(islice(index, start - base))
-                    index.clear()
-                    index.update(zip(earlier, range(base, start)))
-                # The block holds an error: find the first, line by line.
-                for lineno, line in enumerate(lines, start=first):
-                    fields = line.split(None, 1)
-                    if not fields:
-                        continue
-                    raw, rest = fields[0], fields[1] if len(fields) == 2 else b""
-                    # Its numbers rejoined, so that a lone \r stays whitespace.
-                    values = _parse_numbers([b" ".join(rest.split())], dim)
-                    try:
-                        word = raw.decode("utf-8")
-                    except UnicodeDecodeError:
-                        raise ParseError(f"{path}:{lineno}: word {raw!r} is not valid UTF-8") from None
-                    if values is None and len(rest.split()) != dim:
-                        raise ParseError(
-                            f"{path}:{lineno}: expected {dim} components for {word!r}, got {len(rest.split())}"
-                        )
-                    if word in index:
-                        mark_row, mark_line = marks[bisect.bisect_right(marks, (index[word], math.inf)) - 1]
-                        raise ParseError(
-                            f"{path}:{lineno}: duplicate word {word!r} "
-                            f"(first seen on line {mark_line + index[word] - mark_row})"
-                        )
-                    row = base + len(index)
-                    if row >= declared:  # a worker's base may be past N already
-                        raise ParseError(f"{path}:{lineno}: more rows than the declared {declared}")
-                    if values is None:
-                        raise ParseError(f"{path}:{lineno}: unparseable number in row for {word!r}")
-                    if not np.isfinite(values).all():
-                        raise ParseError(f"{path}:{lineno}: non-finite component in row for {word!r}")
-                    rows[row] = values[0]
-                    marks.append((row, lineno))
-                    index[word] = row
 
         def send(start: int, end: int | None, out: BinaryIO) -> None:
             """In a worker: store the rows of [start, end); send the row they start at and their words, or None."""
-            index: dict[str, int] = {}
             with open(path, "rb") as own:
-                # The rows before the range, unless an error comes before it.
                 offset = _rows_before(own, len(header), start)
-                try:
-                    parse(own, None if end is None else end - start, offset, index)
-                except ParseError:
-                    pickle.dump(None, out)
-                    return
-            pickle.dump((offset, list(index)), out)
+                pickle.dump(_parse_range(_line_blocks(own, end, step), rows, offset), out)
+
+        index: dict[str, int] = {}
+
+        def admit(parsed: tuple[int, list[str]] | None) -> bool:
+            """Index a range's words; False if it failed, or its rows or words clash with those before it."""
+            if parsed is None or parsed[0] != len(index):
+                return False
+            offset, words = parsed
+            index.update(zip(words, range(offset, offset + len(words))))
+            return len(index) == offset + len(words)
 
         cuts = _cuts(handle)
-        ends = [*cuts, None]
-        index: dict[str, int] = {}
+        if not cuts:
+            return EmbeddingSet._parsed(_parse_serially(path, handle, rows, step), rows)
         workers: list[tuple[int, BinaryIO]] = []
-        serial = False
         try:
-            for start, end in zip(cuts, ends[1:]):
+            for start, end in zip(cuts, [*cuts[1:], None]):
                 workers.append(_fork(send, start, end))
-            parse(handle, None if ends[0] is None else ends[0] - len(header), 0, index)
-            if workers:
+            complete = admit(_parse_range(_line_blocks(handle, cuts[0], step), rows, 0))
+            if complete:
                 # The rows after this range are lines of 2 d + 1 bytes or more: a word, and d numbers after spaces.
-                left = (os.fstat(handle.fileno()).st_size - ends[0]) // (2 * dim + 1)
+                left = (os.fstat(handle.fileno()).st_size - cuts[0]) // (2 * dim + 1)
                 _populate(shared, len(index) * dim * 8, min(declared, len(index) + left) * dim * 8)
             for pid, reader in workers:
+                if not complete:
+                    break
                 try:
                     theirs = pickle.load(reader)
                 except (EOFError, pickle.UnpicklingError):
@@ -277,60 +206,114 @@ def load_vec_file(path) -> EmbeddingSet:
                     raise ChildProcessError(
                         f"{path}: parse worker exited with status {status} before sending its words"
                     ) from None
-                # Their range holds an error, or their rows do not follow on from those before them
-                # (the file changed while it was read).
-                serial = theirs is None or theirs[0] != len(index)
-                if not serial:
-                    offset, words = theirs
-                    index.update(zip(words, range(offset, offset + len(words))))
-                    # Or their words repeat those before them, or overflow the header's N.
-                    serial = len(index) != offset + len(words) or len(index) > declared
-                if serial:
-                    break
+                complete = admit(theirs)
         finally:
             for pid, reader in workers:
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        if serial:
+        if not complete or len(index) != declared:
             # With the workers gone, one pass in this process names the first error in file order, with its line.
-            index.clear()
-            marks.clear()
             handle.seek(len(header))
-            parse(handle, None, 0, index)
-        if len(index) != declared:
-            raise ParseError(f"{path}: header declares {declared} rows, found {len(index)}")
+            index = _parse_serially(path, handle, rows, step)
     return EmbeddingSet._parsed(index, rows)
 
 
-def _line_blocks(handle: BinaryIO, size: int | None, step: int) -> Iterator[tuple[int, list[bytes]]]:
-    """The lines in handle's next size bytes (to EOF when None), without their "\\n", in lists of step.
+def _parse_range(blocks: Iterable[list[bytes]], rows: np.ndarray, base: int) -> tuple[int, list[str]] | None:
+    """Store the lines of blocks that are not blank as rows from base on; return base and their words.
 
-    The last list may be shorter.  Each comes with its first line's number,
-    counted from 2.  The text is read _PARSE_BLOCK_BYTES at a time.
+    Each block takes one np.loadtxt, one np.isfinite and one decode.  The
+    first that holds a word alone, a row not of d finite numbers, a word not
+    UTF-8 or a row past the end of rows gives None, naming no error.
     """
-    lineno, lines, tail = 2, [], []
-    while size is None or size > 0:
-        chunk = handle.read(_PARSE_BLOCK_BYTES if size is None else min(_PARSE_BLOCK_BYTES, size))
-        if not chunk:
+    words: list[str] = []
+    for lines in blocks:
+        fields = [split for line in lines if (split := line.split(None, 1))]
+        start = base + len(words)
+        if start + len(fields) > len(rows):
+            return None
+        if not fields:
+            continue
+        try:
+            values = _parse_numbers([rest for _, rest in fields], rows.shape[1])
+            words += b"\n".join([word for word, _ in fields]).decode("utf-8").split("\n")
+        except ValueError:  # a word alone, or one not UTF-8 (a UnicodeDecodeError)
+            return None
+        if values is None or not np.isfinite(values).all():
+            return None
+        rows[start : start + len(fields)] = values
+    return base, words
+
+
+def _parse_serially(path, handle: BinaryIO, rows: np.ndarray, step: int) -> dict[str, int]:
+    """Store the lines from handle's position to EOF as rows from 0 on; return each word's row.
+
+    Raises ParseError naming the first error in file order, with its line,
+    or a row count other than the header's N.  Blocks of step lines go
+    through _parse_range; only one that fails or repeats a word is checked
+    line by line.
+    """
+    declared, dim = rows.shape
+    seen: dict[str, int] = {}  # each word's first line, in row order
+    lineno = 2
+    for lines in _line_blocks(handle, None, step):
+        first, lineno = lineno, lineno + len(lines)
+        parsed = _parse_range([lines], rows, len(seen))
+        if parsed is not None:
+            block = dict(zip(parsed[1], (number for number, line in enumerate(lines, first) if line.strip())))
+            if len(block) == len(parsed[1]) and seen.keys().isdisjoint(block):
+                seen.update(block)
+                continue
+        # The block fails: check it line by line, in the order of the checks that name errors.
+        for number, line in enumerate(lines, start=first):
+            fields = line.split(None, 1)
+            if not fields:
+                continue
+            raw, rest = fields[0], fields[1] if len(fields) == 2 else b""
+            values = _parse_numbers([rest], dim)
+            try:
+                word = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{number}: word {raw!r} is not valid UTF-8") from None
+            if values is None and len(rest.split()) != dim:
+                raise ParseError(f"{path}:{number}: expected {dim} components for {word!r}, got {len(rest.split())}")
+            if word in seen:
+                raise ParseError(f"{path}:{number}: duplicate word {word!r} (first seen on line {seen[word]})")
+            if len(seen) >= declared:
+                raise ParseError(f"{path}:{number}: more rows than the declared {declared}")
+            if values is None:
+                raise ParseError(f"{path}:{number}: unparseable number in row for {word!r}")
+            if not np.isfinite(values).all():
+                raise ParseError(f"{path}:{number}: non-finite component in row for {word!r}")
+            rows[len(seen)] = values[0]
+            seen[word] = number
+    if len(seen) != declared:
+        raise ParseError(f"{path}: header declares {declared} rows, found {len(seen)}")
+    return dict(zip(seen, range(declared)))
+
+
+def _line_blocks(handle: BinaryIO, end: int | None, step: int) -> Iterator[list[bytes]]:
+    """The lines in handle up to byte end, a line start (EOF when None), in lists of step.
+
+    Each line keeps its "\\n", if it has one; the last list may be shorter.
+    Lines are read whole, about _PARSE_BLOCK_BYTES at a time.
+    """
+    lines: list[bytes] = []
+    while end is None or handle.tell() < end:
+        got = handle.readlines(_PARSE_BLOCK_BYTES)
+        if not got:
             break
-        if size is not None:
-            size -= len(chunk)
-        *parts, last = chunk.split(b"\n")
-        if parts:
-            tail.append(parts[0])
-            parts[0] = b"".join(tail)
-            lines += parts
-            tail = []
-        tail.append(last)
+        lines += got
+        # The last read may pass end, by whole lines.
+        over = 0 if end is None else handle.tell() - end
+        while over > 0:
+            over -= len(lines.pop())
         full = len(lines) - len(lines) % step
         for at in range(0, full, step):
-            yield lineno + at, lines[at : at + step]
-        lineno, lines = lineno + full, lines[full:]
-    last = b"".join(tail)
-    lines += [last] if last else []
+            yield lines[at : at + step]
+        del lines[:full]
     for at in range(0, len(lines), step):
-        yield lineno + at, lines[at : at + step]
+        yield lines[at : at + step]
 
 
 def _rows_before(handle: BinaryIO, start: int, stop: int) -> int:
@@ -427,6 +410,8 @@ def _parse_numbers(lines: list[bytes], dim: int) -> np.ndarray | None:
     # loadtxt warns on input with no data, and skips blank lines within a call.
     if not text.strip() or any(space in text for space in _LOADTXT_ONLY_SPACE):
         return None
+    if b"\r" in text:  # loadtxt ends a line there too; bytes.split() reads it as a space
+        lines = [line.replace(b"\r", b" ") for line in lines]
     try:
         values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2, encoding="ascii")
     except ValueError:  # UnicodeDecodeError, for a non-ASCII byte, is a ValueError too

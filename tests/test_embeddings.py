@@ -4,6 +4,7 @@ import io
 import math
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ def parse_in_ranges(patch, workers):
     patch.setattr(embeddings, "_MIN_RANGE_BYTES", 1)
 
 
+def serial_passes(patch):
+    """A list that gains an item at each serial pass over a .vec body."""
+    parse, passes = embeddings._parse_serially, []
+    patch.setattr(embeddings, "_parse_serially", lambda *args: passes.append(args) or parse(*args))
+    return passes
+
+
 class TestLoadVecFile:
     def test_words_may_hold_non_ascii_whitespace(self, tmp_path):
         # Fields split on ASCII whitespace only, as fastText writes them, so
@@ -71,11 +79,44 @@ class TestLoadVecFile:
             monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block * 8 * 2)
         path = tmp_path / "v.vec"
         path.write_bytes(b"4 2\na 1\r2\nb\r3 4\nc 5 6\nd 7\r8\n")
+        passes = serial_passes(monkeypatch)
         for workers in (1, 2, 3, 8):
             parse_in_ranges(monkeypatch, workers)
             emb = load_vec_file(path)
             assert emb.words == ("a", "b", "c", "d")
             assert emb.vectors.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+            # At one range the serial pass is the only pass; in ranges the valid file takes none.
+            assert len(passes) == (workers == 1)
+            passes.clear()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("3 2\na 1 2\n\nb 3\r4\nc 5 6\n", None),
+            ("3 2\na 1 2\nb 3 x\nc 5 6\n", ":3: unparseable number in row for 'b'"),
+            ("3 2\na 1 2\nb 3 4\na 5 6\n", ":4: duplicate word 'a' (first seen on line 2)"),
+            ("3 2\na 1 2\nb 3 4\n", ": header declares 3 rows, found 2"),
+        ],
+        ids=["valid-lone-cr", "unparseable", "duplicate", "short"],
+    )
+    def test_a_vec_read_from_a_pipe(self, tmp_path, monkeypatch, text, error):
+        # A pipe cannot seek: its body is read once, in one range, and an error is named in that pass.
+        path, file = tmp_path / "v.vec", write(tmp_path / "file.vec", text)
+        os.mkfifo(path)
+        parse_in_ranges(monkeypatch, 2)
+        writer = threading.Thread(target=write, args=(path, text))
+        writer.start()
+        try:
+            if error is None:
+                emb, expected = load_vec_file(path), load_vec_file(file)
+                assert emb.words == expected.words
+                assert emb.vectors.tobytes() == expected.vectors.tobytes()
+            else:
+                with pytest.raises(ParseError) as raised:
+                    load_vec_file(path)
+                assert str(raised.value) == f"{path}{error}"
+        finally:
+            writer.join()
 
     def test_crlf_loads_the_bits_of_lf(self, tmp_path, rng):
         rows = rng.standard_normal((5, 3)) * 10.0 ** rng.uniform(-300, 300, size=(5, 1))
@@ -310,6 +351,7 @@ def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers,
     path = write(tmp_path / "v.vec", text)
     fork, forks = embeddings._fork, []
     monkeypatch.setattr(embeddings, "_fork", lambda *args: forks.append(args) or fork(*args))
+    passes = serial_passes(monkeypatch)
     parse_in_ranges(monkeypatch, workers)
     if error is None:
         assert load_vec_file(path).words == ("a", "b", "c", "d")
@@ -318,6 +360,8 @@ def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers,
             load_vec_file(path)
         assert str(raised.value) == f"{path}{error}"
     assert len(forks) == workers - 1
+    # A valid file is parsed once, in ranges; only an error takes one serial pass.
+    assert len(passes) == (error is not None)
 
 
 # A worker's rows start at the count of lines before its range that are not
@@ -457,7 +501,7 @@ def test_an_error_in_a_workers_range_is_named_by_the_calling_process(tmp_path, m
     def recording(lines, dim):
         # Forked workers log too; each short append is one write.
         with open(log, "a", encoding="ascii") as handle:
-            handle.write(f"{os.getpid()} {b''.join(lines)!r}\n")
+            handle.write(f"{os.getpid()} {len(lines)} {b''.join(lines)!r}\n")
         return parse(lines, dim)
 
     monkeypatch.setattr(embeddings, "_parse_numbers", recording)
@@ -465,10 +509,33 @@ def test_an_error_in_a_workers_range_is_named_by_the_calling_process(tmp_path, m
     with pytest.raises(ParseError) as raised:
         load_vec_file(path)
     assert str(raised.value) == f"{path}:4: unparseable number in row for 'c'"
-    calls = [call.split(" ", 1) for call in log.read_text().splitlines()]
-    lone_x = [int(pid) for pid, lines in calls if lines == "b'x'"]
-    # The worker met line 4 first; the error comes from this process parsing it again.
-    assert lone_x[-1] == parent and len(set(lone_x)) == 2
+    calls = [call.split(" ", 2) for call in log.read_text().splitlines()]
+    # The worker parses its range, lines 4 and 5, as one block, and checks no line alone.
+    assert [int(count) for pid, count, _ in calls if int(pid) != parent] == [2]
+    # The error comes from this process checking line 4 alone.
+    assert [int(pid) for pid, _, lines in calls if lines == "b'x\\n'"] == [parent]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize(
+    "text",
+    ["6 1\na 1\nb 2\nc 3\nd 4\ne 5\nf 6\n", "5 1\na 1\nb 2\nc 3\na 4\nd 5\ne 6\n"],
+    ids=["valid", "repeat-past-the-first-range"],
+)
+def test_rows_that_do_not_follow_on_take_one_serial_pass(tmp_path, monkeypatch, workers, shift, text):
+    # As when the file changes while it is read: each worker's rows start one
+    # row off.  At 2 ranges a row too late overflows N and one too early
+    # overwrites a row of this process; at 3 the middle range does not follow
+    # on.  A row early at 2 ranges, the repeated a leaves as many words as N:
+    # only the check of the worker's first row sends that file to the serial pass.
+    path = write(tmp_path / "v.vec", text)
+    count = embeddings._rows_before
+    monkeypatch.setattr(embeddings, "_rows_before", lambda *args: count(*args) + shift)
+    passes = serial_passes(monkeypatch)
+    parse_in_ranges(monkeypatch, workers)
+    assert_loads_as_the_reference(path)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("shape", [(20_000, 100), (3, 20_000)], ids=["20000x100", "3x20000"])
