@@ -86,15 +86,13 @@ def chunk_rows(columns: int) -> int:
     return max(1, CHUNK_ELEMENTS // max(1, columns))
 
 
-def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int | None = None) -> list[R]:
+def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
     """Apply fn to every item, preserving input order in the result.
 
     Runs on a thread pool when more than one worker is allowed; results are
     collected in input order either way, so callers see identical output
     regardless of the worker count.
     """
-    if workers is None:
-        workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

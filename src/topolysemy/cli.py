@@ -145,14 +145,19 @@ _INPUT_FILES = (
 
 
 def _validate_paths(args: argparse.Namespace) -> None:
+    # Any existing path but a directory is read, so a pipe or /dev/stdin is an input too.
     for name, label in _INPUT_FILES:
         path = getattr(args, name, None)
-        if path is not None and not os.path.isfile(path):
+        if path is not None and not os.path.exists(path):
             raise FileNotFoundError(f"{label} file not found: {path}")
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(f"{label} file is a directory: {path}")
     if hasattr(args, "out"):
         parent = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"output directory does not exist: {parent}")
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(f"output path is a directory: {args.out}")
 
 
 def _listing(items: Sequence[str]) -> str:

@@ -20,12 +20,14 @@ tied with a word's cut within the float32 band can add to that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ._util import _float32_margin, chunk_rows
+from ._util import _float32_margin, chunk_rows, map_ordered, worker_count
 from .embeddings import EmbeddingSet
+
+R = TypeVar("R")
 
 # Neighbors closer to the center than this are treated as coincident and
 # cannot be projected to the sphere.
@@ -119,10 +121,11 @@ def punctured_neighborhoods(
     # Each word of a pass holds its row, its running n + 1 largest
     # similarities and its kept rows, so a block at large n has fewer words.
     block = min(_BLOCK_WORDS, chunk_rows(_KEPT_VALUES * (n + 1 + embeddings.dim)))
+    blocks = (rows[start : start + block] for start in range(0, len(rows), block))
     return (
-        cloud
-        for start in range(0, len(rows), block)
-        for cloud in _block_clouds(embeddings, rows[start : start + block], n, project)
+        _cloud(embeddings, row, candidates, n, project)
+        for part in blocks
+        for row, candidates in zip(part, _candidates(embeddings.vectors, part, n + 1))
     )
 
 
@@ -133,12 +136,29 @@ def punctured_neighborhood(
     return next(punctured_neighborhoods(embeddings, [word], n, project))
 
 
-def _block_clouds(
-    embeddings: EmbeddingSet, rows: list[int], n: int, project: bool
-) -> Iterator[NeighborhoodCloud]:
-    """Clouds of one block of center rows, from one candidate pass over the vocabulary."""
-    for row, candidates in zip(rows, _candidates(embeddings.vectors, rows, n + 1)):
-        yield _cloud(embeddings, row, candidates, n, project)
+def map_clouds(
+    fn: Callable[[int, NeighborhoodCloud], R],
+    embeddings: EmbeddingSet,
+    words: Sequence[str],
+    n: int,
+    project: bool = False,
+    workers: int | None = None,
+) -> list[R]:
+    """fn(i, cloud) for the punctured_neighborhoods cloud of each words[i], in word order.
+
+    Worker j of W takes words j, j + W, ..., which spreads clouds of
+    unequal cost more evenly than contiguous runs.  Every share's search is
+    built, and its arguments checked, before any worker starts, even for no
+    words.  Each worker searches its share in its own candidate passes and
+    calls fn on each cloud as soon as it is built.
+    """
+    count = max(1, min(worker_count() if workers is None else workers, len(words)))
+    shares = [
+        (range(j, len(words), count), punctured_neighborhoods(embeddings, words[j::count], n, project))
+        for j in range(count)
+    ]
+    done = map_ordered(lambda share: [fn(i, cloud) for i, cloud in zip(*share)], shares, workers=count)
+    return [done[i % count][i // count] for i in range(len(words))]
 
 
 def _tile_rows(width: int, dim: int, dtype: type) -> int:

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_csv, map_ordered, utf8_lines, worker_count
+from ._util import ParseError, atomic_write_csv, utf8_lines
 from .embeddings import EmbeddingSet, l2_normalize_all
-from .neighborhood import NeighborhoodCloud, punctured_neighborhoods
+from .neighborhood import NeighborhoodCloud, map_clouds
 from .persistence import degree0_diagram, wasserstein_norm
 
 TPS_CSV_PRECISION = "%.6f"
@@ -66,29 +66,17 @@ def _report(cloud: NeighborhoodCloud, n: int) -> TpsReport:
 
 
 def tps_batch(
-    embeddings: EmbeddingSet,
-    words: Sequence[str],
-    n: int,
-    workers: int | None = None,
+    embeddings: EmbeddingSet, words: Sequence[str], n: int, workers: int | None = None
 ) -> list[TpsReport]:
     """Score many words, normalizing the embeddings once.
 
-    The words are split into one share per worker.  Each share's search is
-    built, and its arguments checked, before any worker starts; the shares
-    are then scored on the pool.  Output order matches input order, and
-    scores do not depend on block or worker count.
+    The workers score their shares of the words through map_clouds, after
+    every share's arguments are checked.  Output order matches input order,
+    and scores do not depend on block or worker count.
     """
     if not embeddings.normalized:
         embeddings = l2_normalize_all(embeddings)
-    if workers is None:
-        workers = worker_count()
-    share = max(1, math.ceil(len(words) / max(1, workers)))
-    searches = [
-        punctured_neighborhoods(embeddings, words[start : start + share], n, project=True)
-        for start in range(0, len(words), share)
-    ]
-    scored = map_ordered(lambda clouds: [_report(cloud, n) for cloud in clouds], searches, workers=workers)
-    return [report for reports in scored for report in reports]
+    return map_clouds(lambda i, cloud: _report(cloud, n), embeddings, words, n, project=True, workers=workers)
 
 
 @dataclass(frozen=True)

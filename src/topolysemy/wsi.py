@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ._util import ParseError, atomic_write_text, map_ordered, utf8_lines
+from ._util import ParseError, atomic_write_text, utf8_lines
 from .clustering import NOISE, dbscan, kmeans
 from .embeddings import EmbeddingSet
-from .neighborhood import NeighborhoodCloud, punctured_neighborhood, punctured_neighborhoods
+from .neighborhood import NeighborhoodCloud, map_clouds, punctured_neighborhood
 from .tps import PercentileTable, TpsReport, predicted_k, tps_batch
 
 logger = logging.getLogger("topolysemy")
@@ -265,22 +264,22 @@ def run_opn(
     target gets a copy of the backend whose k is derived from the target's
     score percentile within the evaluated population.  A k above
     ``config.n`` is clamped to it, with one warning per target in target
-    order.  The targets are searched together, in shared candidate
-    passes, and the workers cluster their clouds in target order as each
-    comes free.  Sense labels read "<target>.sense_<index>"; output is
-    independent of instance order.
+    order.  The workers search and cluster their shares of the targets
+    through map_clouds.  Sense labels read "<target>.sense_<index>"; output
+    is independent of instance order.
     """
     if not embeddings.normalized:
         raise ValueError("neighborhood queries require L2-normalized embeddings")
     targets = sorted({instance.target for instance in instances})
     resolved = resolve_targets(embeddings, targets)
+    words = [resolved[t] for t in targets]
 
     backend = config.backend
     backends: dict[str, DbscanConfig | KmeansConfig] = {t: backend for t in targets}
     reports: tuple[TpsReport, ...] = ()
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
         try:
-            reports = tuple(tps_batch(embeddings, [resolved[t] for t in targets], n=backend.tps_n))
+            reports = tuple(tps_batch(embeddings, words, n=backend.tps_n))
             table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
             for t in targets:
                 backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
@@ -296,19 +295,10 @@ def run_opn(
             )
             backends[t] = replace(backends[t], k=config.n)
 
-    clouds = enumerate(punctured_neighborhoods(embeddings, [resolved[t] for t in targets], config.n))
-    lock = threading.Lock()
-
-    def induce_next(_: str) -> tuple[int, SenseClusters]:
-        # Each worker takes the next cloud in target order when it comes
-        # free, so one candidate pass serves a whole block of targets and the
-        # clustering is shared out as it goes.
-        with lock:
-            index, cloud = next(clouds)
-        return index, _cluster_senses(targets[index], cloud, backends[targets[index]])
-
-    induced = dict(map_ordered(induce_next, targets))
-    senses = {t: induced[i] for i, t in enumerate(targets)}
+    induced = map_clouds(
+        lambda i, cloud: _cluster_senses(targets[i], cloud, backends[targets[i]]), embeddings, words, config.n
+    )
+    senses = dict(zip(targets, induced))
 
     rows = tuple(
         (instance.target, instance.id, assign_instance(instance, senses[instance.target]))

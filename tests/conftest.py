@@ -1,15 +1,17 @@
-"""Shared test utilities: deterministic random fixtures, a .vec writer, a CI profile and a child-process guard."""
+"""Shared test utilities: deterministic random fixtures, a .vec writer, a fed FIFO, a candidate-pass spy, a CI profile and a child-process guard."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from topolysemy import EmbeddingSet
+from topolysemy import EmbeddingSet, neighborhood
 
 settings.register_profile(
     "suite",
@@ -29,6 +31,25 @@ def save_vec_file(embeddings: EmbeddingSet, path) -> None:
         rendered = " ".join(VEC_PRECISION % value for value in row)
         lines.append(f"{word} {rendered}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data: bytes):
+    """A FIFO at path that a thread writes data into once a reader opens it.
+
+    On exit, a writer still waiting for a reader is given one, so a run
+    that never opened the FIFO fails its test instead of hanging it.
+    """
+    os.mkfifo(path)
+    writer = threading.Thread(target=Path(path).write_bytes, args=(data,))
+    writer.start()
+    try:
+        yield
+    finally:
+        writer.join(timeout=10)
+        if writer.is_alive():
+            Path(path).read_bytes()
+            writer.join()
 
 
 def random_cloud(rng: np.random.Generator, m: int, d: int, scale: float = 2.0) -> np.ndarray:
@@ -57,6 +78,19 @@ def small_embedding(rng) -> EmbeddingSet:
     vectors = rng.standard_normal((30, 6))
     words = tuple(f"w{i}" for i in range(30))
     return EmbeddingSet(words=words, vectors=vectors)
+
+
+@pytest.fixture
+def candidate_passes(monkeypatch) -> list[list[int]]:
+    """The center rows of every neighbor search candidate pass, as each pass starts."""
+    original, passes = neighborhood._candidates, []
+
+    def counted(vectors, rows, k):
+        passes.append(list(rows))
+        return original(vectors, rows, k)
+
+    monkeypatch.setattr(neighborhood, "_candidates", counted)
+    return passes
 
 
 @pytest.fixture(autouse=True)

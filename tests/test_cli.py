@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import save_vec_file
+from conftest import fed_fifo, save_vec_file
 import topolysemy
 from topolysemy import (
     DbscanConfig,
@@ -577,6 +577,40 @@ class TestCorrelateCommand:
         assert rc == 1
         assert "need >= 3 joined rows" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPaths:
+    def test_tps_reads_vectors_and_words_from_pipes(self, planted_files, tmp_path):
+        words = tmp_path / "words.txt"
+        words.write_text("pivot\nb0w0\nb1w3\n")
+        argv = ["tps", "--vectors", planted_files["vectors"], "--words", words, "--n", "10"]
+        assert main([*map(str, argv), "--out", str(tmp_path / "files.csv")]) == 0
+        vectors, listed = tmp_path / "v.pipe", tmp_path / "w.pipe"
+        with fed_fifo(vectors, planted_files["vectors"].read_bytes()), fed_fifo(listed, words.read_bytes()):
+            argv = ["tps", "--vectors", vectors, "--words", listed, "--n", "10"]
+            assert main([*map(str, argv), "--out", str(tmp_path / "pipes.csv")]) == 0
+        assert (tmp_path / "pipes.csv").read_bytes() == (tmp_path / "files.csv").read_bytes()
+
+    def test_a_directory_is_not_an_input_file(self, tmp_path, capsys):
+        argv = ["tps", "--vectors", str(tmp_path), "--all", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: vectors file is a directory: {tmp_path}\n"
+
+    @pytest.mark.parametrize("command", ["tps", "wsi", "score", "correlate"])
+    def test_a_directory_as_out_is_rejected_before_any_work(self, planted_files, tmp_path, capsys, command):
+        tps, counts = TestCorrelateCommand().write_inputs(tmp_path, [("a", 2), ("b", 4), ("c", 6)])
+        inputs = {
+            "tps": ["--vectors", planted_files["vectors"], "--all", "--n", "10"],
+            "wsi": ["--vectors", planted_files["vectors"], "--instances", planted_files["instances"], "--n", "48"],
+            "score": ["--key", planted_files["gold"], "--gold", planted_files["gold"]],
+            "correlate": ["--tps", tps, "--counts", counts],
+        }
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main([command, *map(str, inputs[command]), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: output path is a directory: {out}\n")
+        assert list(out.iterdir()) == []
+        assert not [path for path in tmp_path.iterdir() if path.name.startswith(".tmp-")]
 
 
 class TestInvalidUtf8:

@@ -4,14 +4,13 @@ import io
 import math
 import os
 import signal
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import save_vec_file
+from conftest import fed_fifo, save_vec_file
 from topolysemy import (
     EmbeddingSet,
     ParseError,
@@ -102,11 +101,8 @@ class TestLoadVecFile:
     def test_a_vec_read_from_a_pipe(self, tmp_path, monkeypatch, text, error):
         # A pipe cannot seek: its body is read once, in one range, and an error is named in that pass.
         path, file = tmp_path / "v.vec", write(tmp_path / "file.vec", text)
-        os.mkfifo(path)
         parse_in_ranges(monkeypatch, 2)
-        writer = threading.Thread(target=write, args=(path, text))
-        writer.start()
-        try:
+        with fed_fifo(path, text.encode("utf-8")):
             if error is None:
                 emb, expected = load_vec_file(path), load_vec_file(file)
                 assert emb.words == expected.words
@@ -115,8 +111,6 @@ class TestLoadVecFile:
                 with pytest.raises(ParseError) as raised:
                     load_vec_file(path)
                 assert str(raised.value) == f"{path}{error}"
-        finally:
-            writer.join()
 
     def test_crlf_loads_the_bits_of_lf(self, tmp_path, rng):
         rows = rng.standard_normal((5, 3)) * 10.0 ** rng.uniform(-300, 300, size=(5, 1))

@@ -153,7 +153,7 @@ class TestExactAgainstLinkage:
 
     @settings(max_examples=100)
     @given(tie_heavy_clouds(), st.sampled_from([0, 1]), st.sampled_from([1, 3, None]))
-    def test_boruvka_rounds_join_what_the_scan_leaves(self, points, per_point, block):
+    def test_prim_builds_what_the_scan_leaves(self, points, per_point, block):
         # With at most m or no pairs to scan, Prim builds the tree whenever Kruskal's pool is
         # larger or does not span; the matrix is also read in blocks of 1 or 3 rows.
         with pytest.MonkeyPatch.context() as patch:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import topolysemy
-from conftest import save_vec_file
+from conftest import fed_fifo, save_vec_file
 from topolysemy import (
     EmbeddingSet,
     Instance,
@@ -50,20 +50,30 @@ def test_count_corpus(tmp_path, monkeypatch):
     assert out.read_text() == "dog\t2\nthe\t2\n"
 
 
+def test_count_corpus_reads_a_pipe(tmp_path, monkeypatch):
+    corpus, out = tmp_path / "corpus.pipe", tmp_path / "counts.tsv"
+    with fed_fifo(corpus, b"The cat saw the dog.\nA dog!\n"):
+        run_script("count_corpus.py", monkeypatch, "--corpus", str(corpus), "--out", str(out), "--min-count", "2")
+    assert out.read_text() == "dog\t2\nthe\t2\n"
+
+
 @pytest.mark.parametrize(
     "corpus, out, message",
     [
         ("absent.txt", "counts.tsv", "corpus file not found: {tmp}/absent.txt"),
         ("corpus.txt", "absent/counts.tsv", "output directory does not exist: {tmp}/absent"),
+        ("corpus.txt", "outdir", "output path is a directory: {tmp}/outdir"),
     ],
-    ids=["missing-corpus", "missing-outdir"],
+    ids=["missing-corpus", "missing-outdir", "outdir-is-a-directory"],
 )
 def test_count_corpus_reports_input_errors_in_one_line(tmp_path, monkeypatch, capsys, corpus, out, message):
     (tmp_path / "corpus.txt").write_text("a dog\n")
+    (tmp_path / "outdir").mkdir()
     run_script(
         "count_corpus.py", monkeypatch, "--corpus", str(tmp_path / corpus), "--out", str(tmp_path / out), code=1
     )
     assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
+    assert list((tmp_path / "outdir").iterdir()) == []
 
 
 def semeval_inputs(tmp_path, embeddings, data):

@@ -1,6 +1,7 @@
 """Polysemy scores: pipeline behavior, percentiles, and the k predictor."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ class TestTpsBatch:
         with pytest.raises(error):
             tps_batch(small_embedding, words, n=n, workers=2)
         assert scored == []
+
+    def test_three_workers_take_interleaved_shares(self, small_embedding, monkeypatch, candidate_passes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        words = [f"w{i}" for i in range(29, 4, -1)]
+        rows = [small_embedding.row(word) for word in words]
+        reports = []
+        for threads, shares in (("1", [rows]), ("3", [rows[0::3], rows[1::3], rows[2::3]])):
+            monkeypatch.setenv("TPS_THREADS", threads)
+            candidate_passes.clear()
+            reports.append(tps_batch(small_embedding, words, n=8))
+            assert sorted(candidate_passes) == sorted(shares)
+        assert reports[1] == reports[0]
+        assert [r.word for r in reports[1]] == words
 
     @pytest.mark.parametrize("block", [1, 3, 40])
     def test_blocks_and_workers_do_not_change_reports(self, rng, monkeypatch, block):

@@ -305,7 +305,7 @@ class TestRunOpn:
         assert calls[0] == "tps_batch" and calls.count("_cluster_senses") == 2
 
     @pytest.mark.parametrize("backend", [DbscanConfig(), KmeansConfig(k=3)], ids=["dbscan", "kmeans"])
-    def test_targets_share_one_candidate_pass(self, monkeypatch, tmp_path, backend):
+    def test_each_worker_share_takes_one_candidate_pass(self, monkeypatch, tmp_path, candidate_passes, backend):
         # TPS_THREADS is capped at the CPU count; two CPUs keep two workers.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         data = planted_two_sense_dataset()
@@ -322,21 +322,33 @@ class TestRunOpn:
             )
         )
         write_key(expected, tmp_path / "expected.key")
-        original, passes = neighborhood._candidates, []
-
-        def counted(vectors, rows, k):
-            passes.append(len(rows))
-            return original(vectors, rows, k)
-
-        monkeypatch.setattr(neighborhood, "_candidates", counted)
-        for threads in ("1", "2"):
+        for threads, shares in (("1", [24]), ("2", [12, 12])):
             monkeypatch.setenv("TPS_THREADS", threads)
-            passes.clear()
+            candidate_passes.clear()
             result = run_opn(data.embeddings, instances, config)
-            assert passes == [24]
+            assert [len(rows) for rows in candidate_passes] == shares
             assert result.senses == senses
             write_key(result.key, tmp_path / "system.key")
             assert (tmp_path / "system.key").read_bytes() == (tmp_path / "expected.key").read_bytes()
+
+    @pytest.mark.parametrize("backend", [DbscanConfig(), KmeansConfig(k=3)], ids=["dbscan", "kmeans"])
+    def test_three_workers_take_interleaved_shares(self, monkeypatch, candidate_passes, backend):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        data = planted_two_sense_dataset()
+        targets = sorted(f"b{b}w{i}" for i in range(13) for b in (1, 0))[:25]
+        instances = [
+            Instance(target=t, id=f"{t}.{i}", tokens=data.instances[i].tokens) for t in targets for i in (0, 15)
+        ]
+        config = OpnConfig(n=12, backend=backend)
+        rows = [data.embeddings.row(t) for t in targets]
+        results = []
+        for threads, shares in (("1", [rows]), ("3", [rows[0::3], rows[1::3], rows[2::3]])):
+            monkeypatch.setenv("TPS_THREADS", threads)
+            candidate_passes.clear()
+            results.append(run_opn(data.embeddings, instances, config))
+            assert sorted(candidate_passes) == sorted(shares)
+        assert results[1].key == results[0].key
+        assert results[1].senses == results[0].senses
 
     def test_workers_take_every_cloud_once_under_stress(self, monkeypatch):
         # Eight workers on two CPUs, passes of five targets and a short switch
