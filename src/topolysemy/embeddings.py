@@ -44,8 +44,6 @@ _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # parse: the last of W workers counts (W - 1)/W of the body, 3.6% of its
 # parse at W = 2 and 25% at W = 8 (tps-vocab input, 83.5 MB, 2 vCPUs).
 _MIN_RANGE_BYTES = 1 << 20
-# madvise(2)'s option number on Linux 5.14 and later; Python 3.11's mmap module has no name for it.
-_MADV_POPULATE_WRITE = 23
 
 _COUNT_RE = re.compile(r"[0-9]+")
 # For str patterns, [^\W_] is exactly str.isalnum() and \S is not str.isspace().
@@ -133,9 +131,11 @@ def load_vec_file(path) -> EmbeddingSet:
     _parse_range, which names no error, parses it in up to worker_count()
     newline-aligned byte ranges, all but the first in forked workers, which
     send back the row their range starts at and its words.  If a range
-    fails, does not follow on or repeats a word, or the rows are not N, the
-    serial pass parses the body again in this process.  A worker that dies
-    raises ChildProcessError.
+    fails or its rows do not start where those before it end, or the rows
+    found are not N, the serial pass parses the body again in this process.
+    A repeated word leaves the index a row short, so the next range's start
+    or the final count shows it.  A worker that dies raises
+    ChildProcessError.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -175,12 +175,16 @@ def load_vec_file(path) -> EmbeddingSet:
         index: dict[str, int] = {}
 
         def admit(parsed: tuple[int, list[str]] | None) -> bool:
-            """Index a range's words; False if it failed, or its rows or words clash with those before it."""
+            """Index a range's words; False if it failed or its rows do not start where those before it end.
+
+            A repeated word leaves the index a row short, so the next range's
+            offset or the final count fails, and the serial pass names it.
+            """
             if parsed is None or parsed[0] != len(index):
                 return False
             offset, words = parsed
             index.update(zip(words, range(offset, offset + len(words))))
-            return len(index) == offset + len(words)
+            return True
 
         cuts = _cuts(handle)
         if not cuts:
@@ -190,10 +194,6 @@ def load_vec_file(path) -> EmbeddingSet:
             for start, end in zip(cuts, [*cuts[1:], None]):
                 workers.append(_fork(send, start, end))
             complete = admit(_parse_range(_line_blocks(handle, cuts[0], step), rows, 0))
-            if complete:
-                # The rows after this range are lines of 2 d + 1 bytes or more: a word, and d numbers after spaces.
-                left = (os.fstat(handle.fileno()).st_size - cuts[0]) // (2 * dim + 1)
-                _populate(shared, len(index) * dim * 8, min(declared, len(index) + left) * dim * 8)
             for pid, reader in workers:
                 if not complete:
                     break
@@ -343,21 +343,6 @@ def _rows_before(handle: BinaryIO, start: int, stop: int) -> int:
         lines -= not handle.readline().split()
     handle.seek(stop)
     return lines
-
-
-def _populate(shared: mmap.mmap, start: int, stop: int) -> None:
-    """Map shared's pages over bytes [start, stop) into this process, writable, where Linux can (5.14 and later).
-
-    MADV_POPULATE_WRITE takes the page faults of the rows that workers are
-    writing while this process waits for them, one call for all of them,
-    instead of one fault per 4 KiB page on its first pass over them.
-    """
-    start -= start % mmap.PAGESIZE
-    if start < stop:
-        try:
-            shared.madvise(_MADV_POPULATE_WRITE, start, stop - start)
-        except OSError:  # an older kernel, or no memory left to map them early
-            pass
 
 
 def _cuts(handle: BinaryIO) -> list[int]:

@@ -160,6 +160,9 @@ def load_tps_csv(path) -> list[TpsReport]:
             raise ParseError(f"{path}:{lineno}: unparseable row {row!r}") from None
         if not (raw_n.isascii() and raw_n.isdigit() and n > 0):
             raise ParseError(f"{path}:{lineno}: n for {word!r} must be a positive integer, got {raw_n!r}")
+        # float() also reads "_" digit grouping, surrounding whitespace and non-ASCII digits.
+        if not raw_score.isascii() or "_" in raw_score or raw_score != raw_score.strip():
+            raise ParseError(f"{path}:{lineno}: unparseable row {row!r}")
         if not math.isfinite(score) or score < 0.0:
             raise ParseError(f"{path}:{lineno}: invalid score for {word!r}")
         seen.add(word)

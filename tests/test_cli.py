@@ -570,6 +570,15 @@ class TestCorrelateCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {counts}:3: count for 'c' exceeds 2**53, the exact float64 limit\n"
 
+    def test_grouped_tps_is_one_error_line(self, tmp_path, capsys):
+        tps, counts = self.write_inputs(tmp_path, [("a", 2), ("b", 4), ("c", 6)])
+        tps.write_text(tps.read_text().replace("3.000000", "3_0"))
+        out = tmp_path / "s.csv"
+        rc = main(["correlate", "--tps", str(tps), "--counts", str(counts), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tps}:4: unparseable row ['c', '50', '3_0']\n"
+        assert not out.exists()
+
     def test_too_small_join_fails(self, tmp_path, capsys):
         tps, counts = self.write_inputs(tmp_path, [("a", 2), ("x", 1), ("y", 1)])
         out = tmp_path / "s.csv"

@@ -330,6 +330,8 @@ def test_load_vec_file_matches_the_reference_in_byte_ranges(tmp_path_factory, wo
     [
         (2, "4 1\na 1\nb 1\na 1\nc 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
         (3, "6 1\na 1\nb 1\nc 1\nd 1\nc 1\ne 1\n", ":6: duplicate word 'c' (first seen on line 4)"),
+        # A repeat in the middle range: the last range then starts a row past the index.
+        (3, "6 1\na 1\nb 1\na 1\nd 1\ne 1\nf 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
         (2, "3 1\na 1\nb 1\nc 1\nd 1\n", ":5: more rows than the declared 3"),
         (3, "3 1\na 1\nb 1\nc 1\nd 1\ne 1\nf 1\n", ":5: more rows than the declared 3"),
         (2, "4 1\na 1\nb 1\na 1\nc x\n", ":4: duplicate word 'a' (first seen on line 2)"),
@@ -338,6 +340,7 @@ def test_load_vec_file_matches_the_reference_in_byte_ranges(tmp_path_factory, wo
         (2, "4 1\na 1\nb 1\na inf\nc 1\n", ":4: duplicate word 'a' (first seen on line 2)"),
         (2, "2 1\na 1\nb 1\nc x\nd 1\n", ":4: more rows than the declared 2"),
         (2, "4 1\na 1\nb 1\na 1 2\nc 1\n", ":4: expected 1 components for 'a', got 2"),
+        (2, "100000 1\na 1\nb 1\nc 1\nd 1\n", ": header declares 100000 rows, found 4"),
         (2, "4 1\na 1\nb 1\nc 1\nd 1\n", None),
     ],
 )
@@ -438,32 +441,6 @@ def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch, blanks):
     assert len(parsed) == 1 and parsed[0] is not None
     # The worker sends only its words and the row they start at, fewer bytes than one row.
     assert len(sent) == 1 and 0 < sent[0] < rows[0].nbytes
-
-
-def test_a_kernel_without_populate_loads_the_same(tmp_path, monkeypatch):
-    rows = np.arange(8 * 50, dtype=np.float64).reshape(8, 50) % 7 + 1.25
-    path = tmp_path / "v.vec"
-    save_vec_file(EmbeddingSet(words=tuple(f"w{i}" for i in range(8)), vectors=rows), path)
-    # madvise(2) refuses an option it does not know with EINVAL.
-    monkeypatch.setattr(embeddings, "_MADV_POPULATE_WRITE", 10_000)
-    parse_in_ranges(monkeypatch, 2)
-    assert load_vec_file(path).vectors.tobytes() == rows.tobytes()
-
-
-def test_a_short_file_maps_no_more_rows_than_its_text_holds(tmp_path, monkeypatch):
-    # Its header declares 100,000 rows of 4: 3.2 MB that an early mapping of every row would fill.
-    path = write(tmp_path / "v.vec", "100000 4\n" + "".join(f"w{i} 1 2 3 4\n" for i in range(8)))
-    populate, spans = embeddings._populate, []
-
-    def recording(shared, start, stop):
-        spans.append((start, stop))
-        populate(shared, start, stop)
-
-    monkeypatch.setattr(embeddings, "_populate", recording)
-    parse_in_ranges(monkeypatch, 2)
-    with pytest.raises(ParseError, match=r": header declares 100000 rows, found 8$"):
-        load_vec_file(path)
-    assert len(spans) == 1 and spans[0][1] <= 2 * 8 * 4 * 8
 
 
 @pytest.mark.parametrize("end", ["exit", "raise", "kill"])

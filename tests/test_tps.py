@@ -243,6 +243,15 @@ class TestTpsCsv:
             load_tps_csv(path)
         assert str(raised.value) == f"{path}:3: n for 'b' must be a positive integer, got {raw_n!r}"
 
+    # float() reads these as 10.0, 2.5 and 3.0.
+    @pytest.mark.parametrize("raw_score", ["1_0", " 2.5 ", "\u0663"], ids=["grouped", "spaced", "arabic-indic"])
+    def test_tps_is_an_ascii_decimal(self, tmp_path, raw_score):
+        path = tmp_path / "t.csv"
+        path.write_text(f"word,n,tps\na,50,1.0\nb,50,{raw_score}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            load_tps_csv(path)
+        assert str(raised.value) == f"{path}:3: unparseable row {['b', '50', raw_score]!r}"
+
 
 def test_report_rejects_negative_score():
     with pytest.raises(ValueError):

@@ -38,6 +38,14 @@ def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["atomic.txt"]
 
 
+def test_atomic_write_takes_a_name_near_the_length_limit(tmp_path):
+    # 250 bytes: valid on Linux, whose NAME_MAX is 255, but not with a 22-byte temp prefix on top.
+    path = tmp_path / ("n" * 246 + ".csv")
+    atomic_write_text(path, "x\n")
+    assert path.read_text() == "x\n"
+    assert os.listdir(tmp_path) == [path.name]
+
+
 # Only the returned cap is checked: no pool of the requested size is started.
 @pytest.mark.parametrize(
     "threads, cpus, cap",
