@@ -63,12 +63,14 @@ def evaluate(args: argparse.Namespace) -> int:
     result = run_opn(embeddings, instances, opn_config(args))
     # Targets in run_opn's order, each with the vocabulary entry it resolved to.
     words = {target: senses.word for target, senses in result.senses.items()}
-    # Percentile k (--k auto) already scored the targets at --tps-n.
-    reports = result.reports or tps_batch(embeddings, list(words.values()), n=args.tps_n)
+    # Percentile k (--k auto) already scored the targets at --tps-n.  One
+    # row per word, in target order: two targets may resolve to one word.
+    reports = result.reports or tps_batch(embeddings, list(dict.fromkeys(words.values())), n=args.tps_n)
+    scored = {r.word: r for r in reports}
     tps_path = os.path.join(args.outdir, "tps.csv")
-    save_tps_csv(reports, tps_path)
-    scores = {t: r.score for t, r in zip(words, reports)}
-    print(f"scored {len(reports)} targets (n={args.tps_n}) -> {tps_path}")
+    save_tps_csv(list(scored.values()), tps_path)
+    scores = {t: scored[w].score for t, w in words.items()}
+    print(f"scored {len(scores)} targets (n={args.tps_n}) -> {tps_path}")
     print(f"  score range [{min(scores.values()):.3f}, {max(scores.values()):.3f}]")
 
     key_path = os.path.join(args.outdir, "system.key")

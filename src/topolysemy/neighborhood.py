@@ -6,15 +6,15 @@ cloud recenters each neighbor at the center vector and scales it to the unit
 sphere, which is the input the persistence stage consumes.
 
 Search runs on blocks of center words, one candidate pass per block: the
-block is multiplied with one vocabulary tile at a time (in float32, the
-tile cast into a reused buffer, unless the block is narrow), each word
-keeps the rows near its running k-th largest product similarity, and an
-exact float64 per-row similarity ranks them.  A pass holds at most twice
-CHUNK_ELEMENTS float32 values (32 MB) per worker, whatever the vocabulary
-size: the tile, the product and its partitioned copy within
-CHUNK_ELEMENTS, and the words' rows, running top values and kept rows
-within as much again, the block narrowed at large n to fit.  Only rows
-tied with a word's cut within the float32 band can add to that.
+block is multiplied in float32 with one vocabulary tile at a time, the tile
+cast into a reused buffer, each word keeps the rows near its running k-th
+largest product similarity, and an exact float64 per-row similarity ranks
+them.  A pass holds at most twice CHUNK_ELEMENTS float32 values (32 MB)
+per worker, whatever the vocabulary size: the tile, the product and its
+partitioned copy within CHUNK_ELEMENTS, and the words' rows, running top
+values and kept rows within as much again, the block narrowed at large n
+to fit.  Only rows tied with a word's cut within the float32 band can add
+to that.
 """
 
 from __future__ import annotations
@@ -35,18 +35,9 @@ COINCIDENT_EPS = 1e-12
 
 # Center words per candidate pass; every pass reads the whole vocabulary.
 _BLOCK_WORDS = 256
-# Blocks of at least this many words multiply in float32; a narrower block
-# multiplies the float64 rows as they are, since casting a tile costs it
-# more than the float32 product saves.  Per word of a pass at one thread
-# over 100-dimensional rows, float32 took 0.63 ms and float64 0.67 at 32
-# words (127,151 rows, n = 50), 0.25 and 0.25 (50,000 rows, n = 50), 0.16
-# and 0.15 (20,000 rows, n = 1000); at 24 words 0.30 and 0.28 ms (50,000
-# rows, n = 50) and 0.18 and 0.15 (20,000 rows, n = 1000); at 16 words
-# float32 took 13-37% longer.
-_FLOAT32_WORDS = 32
 # Float32 values' worth of bytes that one word of a pass takes, per unit
-# of n + 1 + d: its block row (gathered in float64, then cast or copied),
-# its running k = n + 1 largest similarities and its kept rows.  Between
+# of n + 1 + d: its block row (gathered in float64, then cast), its
+# running k = n + 1 largest similarities and its kept rows.  Between
 # prunes a block keeps at most 3k rows per word, an int64 key and a
 # float32 value each, and a prune holds them with their concatenated copy,
 # its word indices, floors and mask and the pruned result: about 25 bytes
@@ -161,63 +152,53 @@ def map_clouds(
     return [done[i % count][i // count] for i in range(len(words))]
 
 
-def _tile_rows(width: int, dim: int, dtype: type) -> int:
-    """Vocabulary rows per tile, whose rows, product and product copy fit CHUNK_ELEMENTS float32 values.
+def _tile_rows(dim: int) -> int:
+    """Vocabulary rows per tile, whose cast rows and a full block's product and copy fill CHUNK_ELEMENTS.
 
-    A float32 tile is sized for a full block: its cast rows and a 256-word
-    product and copy fill the budget, and a narrower block holds less.
-    Sized for a 60-word block instead, it held 16 MB, not 5.7 MB, and took
-    0.66 ms per word, not 0.51, over 127,151 x 100 rows at n = 50.  A
-    float64 block, narrower than _FLOAT32_WORDS, sizes its tiles for its
-    own width: sized for a full block, a one-word pass over 50,000 x 100
-    rows at n = 5000 took 1.93 ms, not 1.53.
+    A narrower block holds less.  Sized for a 60-word block instead, a tile
+    held 16 MB, not 5.7 MB, and took 0.66 ms per word, not 0.51, over
+    127,151 x 100 rows at n = 50.
     """
-    if dtype is np.float32:
-        return chunk_rows(2 * _BLOCK_WORDS + dim)
-    return chunk_rows(4 * width + dim)
+    return chunk_rows(2 * _BLOCK_WORDS + dim)
 
 
 def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.ndarray]:
     """For each center row, the ascending rows that may be among its k most similar.
 
-    Each vocabulary tile is multiplied with the block into one reused
-    product: in float32, the tile cast into one reused buffer, from
-    _FLOAT32_WORDS words on, and in float64 below.  A partitioned copy of
-    the product gives each word's k largest values of the tile, which merge
-    with the k largest so far into the running k-th largest, the cut.  Rows
-    are kept while their similarity reaches the cut less the band, rounded
-    outward.  The cut and a row's similarity are both products, each within
-    _float32_margin of the exact similarity (a float64 product is far
-    closer), so the band is twice that: the final cut is the k-th largest
-    of the whole vocabulary, so the exact (k - 1)-th nearest row but the
-    center lies within one margin below it, and so does every row tied with
-    or nearer than that one, within one more margin.  Tile, product and
-    copy hold at most CHUNK_ELEMENTS float32 values.  The kept rows are
-    pruned to the cut whenever they outnumber 2k per word; since a tile
-    adds at most k rows per word beyond those tied within the band with the
-    cut, each word holds at most _KEPT_VALUES * (k + d) float32 values'
-    worth of its row, kept rows and running top.
+    Each vocabulary tile is cast into one reused float32 buffer and
+    multiplied with the block into one reused product.  A partitioned copy
+    of the product gives each word's k largest values of the tile, which
+    merge with the k largest so far into the running k-th largest, the cut.
+    Rows are kept while their similarity reaches the cut less the band,
+    rounded outward.  The cut and a row's similarity are both products,
+    each within _float32_margin of the exact similarity, so the band is
+    twice that: the final cut is the k-th largest of the whole vocabulary,
+    so the exact (k - 1)-th nearest row but the center lies within one
+    margin below it, and so does every row tied with or nearer than that
+    one, within one more margin.  Tile, product and copy hold at most
+    CHUNK_ELEMENTS float32 values.  The kept rows are pruned to the cut
+    whenever they outnumber 2k per word; since a tile adds at most k rows
+    per word beyond those tied within the band with the cut, each word
+    holds at most _KEPT_VALUES * (k + d) float32 values' worth of its row,
+    kept rows and running top.
     """
     count, dim = vectors.shape
     width = len(rows)
-    dtype = np.float32 if width >= _FLOAT32_WORDS else np.float64
-    block = vectors[rows].astype(dtype)
-    tile = min(count, _tile_rows(width, dim, dtype))
-    cast = np.empty((tile, dim), dtype=np.float32) if dtype is np.float32 else None
-    product = np.empty(width * tile, dtype=dtype)
-    copy = np.empty(width * tile, dtype=dtype)
+    block = vectors[rows].astype(np.float32)
+    tile = min(count, _tile_rows(dim))
+    cast = np.empty((tile, dim), dtype=np.float32)
+    product = np.empty(width * tile, dtype=np.float32)
+    copy = np.empty(width * tile, dtype=np.float32)
     band = 2.0 * _float32_margin(dim)
-    top = np.empty((width, 0), dtype=dtype)
-    floor = np.full(width, -np.inf, dtype=dtype)
+    top = np.empty((width, 0), dtype=np.float32)
+    floor = np.full(width, -np.inf, dtype=np.float32)
     # Kept rows as word * count + row, with their similarities, one part per tile.
     keys: list[np.ndarray] = []
     values: list[np.ndarray] = []
     for start in range(0, count, tile):
         span = min(tile, count - start)
-        part = vectors[start : start + span]
-        if cast is not None:
-            part = cast[:span]
-            part[...] = vectors[start : start + span]
+        part = cast[:span]
+        part[...] = vectors[start : start + span]
         similarities = np.matmul(block, part.T, out=product[: width * span].reshape(width, span))
         best = copy[: width * span].reshape(width, span)
         best[...] = similarities
@@ -229,7 +210,7 @@ def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.nda
             top.partition(top.shape[1] - k, axis=1)
             top = top[:, top.shape[1] - k :]
             cut = top[:, 0].astype(np.float64)
-            floor = np.nextafter((cut - band).astype(dtype), dtype(-np.inf))
+            floor = np.nextafter((cut - band).astype(np.float32), np.float32(-np.inf))
         # The copy is free again: it holds the mask of this tile's kept rows.
         mask = np.greater_equal(
             similarities, floor[:, None], out=copy.view(np.bool_)[: width * span].reshape(width, span)

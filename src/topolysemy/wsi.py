@@ -279,7 +279,9 @@ def run_opn(
     reports: tuple[TpsReport, ...] = ()
     if isinstance(backend, KmeansConfig) and backend.k is None and targets:
         try:
-            reports = tuple(tps_batch(embeddings, words, n=backend.tps_n))
+            # A word that two targets resolve to is scored once.
+            scored = {r.word: r for r in tps_batch(embeddings, list(dict.fromkeys(words)), n=backend.tps_n)}
+            reports = tuple(scored[w] for w in words)
             table = PercentileTable(scores={t: r.score for t, r in zip(targets, reports)})
             for t in targets:
                 backends[t] = replace(backend, k=predicted_k(table.percentile(t)))
@@ -308,8 +310,9 @@ def run_opn(
 
 
 def load_instances(path) -> list[Instance]:
-    """Parse JSONL instances: {"target", "id", "tokens"} per line."""
+    """Parse JSONL instances: {"target", "id", "tokens"} per line, each (target, id) once."""
     instances: list[Instance] = []
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(utf8_lines(path), start=1):
         if not line.strip():
             continue
@@ -331,6 +334,12 @@ def load_instances(path) -> list[Instance]:
             instances.append(Instance(target=target, id=instance_id, tokens=tuple(tokens)))
         except ValueError as err:
             raise ParseError(f"{path}:{lineno}: {err}") from None
+        seen = first_line.setdefault((target, instance_id), lineno)
+        if seen != lineno:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate instance {instance_id!r} for target {target!r} "
+                f"(first seen on line {seen})"
+            )
     return instances
 
 

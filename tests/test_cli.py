@@ -238,6 +238,28 @@ class TestWsiCommand:
         assert exc.value.code == 2
         assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
 
+    def test_a_repeated_instance_is_one_error_line_before_any_search(
+        self, planted_files, tmp_path, monkeypatch, capsys
+    ):
+        instances = planted_files["instances"]
+        first = instances.read_text().splitlines()[0]
+        with open(instances, "a") as handle:
+            handle.write(first + "\n")
+        lineno = len(instances.read_text().splitlines())
+        record = json.loads(first)
+        called = []
+        monkeypatch.setattr(topolysemy.cli, "run_opn", lambda *args: called.append(args))
+        out = tmp_path / "system.key"
+        assert self.run_wsi(planted_files, out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {instances}:{lineno}: duplicate instance {record['id']!r} "
+            f"for target {record['target']!r} (first seen on line 1)\n"
+        )
+        assert captured.out == ""
+        assert called == []
+        assert not out.exists()
+
     def test_kmeans_backend_with_fixed_k(self, planted_files, tmp_path):
         out = tmp_path / "system.key"
         rc = self.run_wsi(planted_files, out, extra=("--backend", "kmeans", "--k", "2"))

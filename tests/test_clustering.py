@@ -187,7 +187,7 @@ def test_dbscan_matches_plain_python_reference(case):
     labels, n_clusters, adjacency = reference_dbscan(rows, eps, min_pts)
     points = np.array(rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_util, "CHUNK_ELEMENTS", block * len(rows))
+        patch.setattr(_util, "CHUNK_ELEMENTS", 2 * block * len(rows))
         found = eps_adjacency(points, eps)
         result = dbscan(points, eps=eps, min_pts=min_pts)
     assert np.array_equal(found, adjacency)
@@ -283,7 +283,7 @@ def test_pairs_planted_on_the_cut_are_decided_exactly(rng, dim):
         )
         for block in (1, 3, 40):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_util, "CHUNK_ELEMENTS", block * 40)
+                patch.setattr(_util, "CHUNK_ELEMENTS", 2 * block * 40)
                 found = eps_adjacency(points, eps)
             assert found[i, 20 + i] == (eps == on_cut)
             assert np.array_equal(found, expected)

@@ -194,31 +194,29 @@ def test_matches_plain_python_reference(case):
 
 @st.composite
 def batched_searches(draw):
-    """(rows, queries, n, project, block, tile, float32_words): every word queried, in any order."""
+    """(rows, queries, n, project, block, tile): every word queried, in any order."""
     rows, _, n = draw(planted_vocabularies())
     if draw(st.booleans()):
         n = len(rows) - 1
     queries = draw(st.permutations(range(len(rows))))
     block = draw(st.sampled_from([1, 3, len(rows)]))
     tile = draw(st.sampled_from([1, 3, len(rows)]))
-    float32_words = draw(st.sampled_from([1, len(rows) + 1]))
-    return rows, queries, n, draw(st.booleans()), block, tile, float32_words
+    return rows, queries, n, draw(st.booleans()), block, tile
 
 
-def patch_search(patch, block, tile, float32_words=1):
-    """Candidate passes of `block` words over vocabulary tiles of `tile` rows, float32 from `float32_words` words."""
+def patch_search(patch, block, tile):
+    """Candidate passes of `block` words over vocabulary tiles of `tile` rows."""
     patch.setattr(neighborhood, "_BLOCK_WORDS", block)
-    patch.setattr(neighborhood, "_tile_rows", lambda width, dim, dtype: tile)
-    patch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
+    patch.setattr(neighborhood, "_tile_rows", lambda dim: tile)
 
 
 @given(batched_searches())
 def test_batched_search_matches_plain_python_reference(case):
-    rows, queries, n, project, block, tile, float32_words = case
+    rows, queries, n, project, block, tile = case
     words = [f"w{i}" for i in range(len(rows))]
     emb = embedding(words, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch_search(patch, block, tile, float32_words)
+        patch_search(patch, block, tile)
         clouds = list(punctured_neighborhoods(emb, [words[q] for q in queries], n, project=project))
     assert [cloud.center for cloud in clouds] == [words[q] for q in queries]
     assert len(clouds) == len(queries)
@@ -353,15 +351,13 @@ def test_one_block_product_is_alive_at_a_time(monkeypatch):
         assert low <= peak < 1.25 * budget
 
 
-@pytest.mark.parametrize("float32_words", [1, 2], ids=["float32", "float64"])
-def test_a_pass_holds_at_most_twice_the_budget(monkeypatch, float32_words):
-    # At n = 5000 a block holds one word, whose tiles of 326 rows in
-    # float32 and 1,923 in float64 hold fewer rows than n + 1.  The word's
-    # running top and kept rows take about half the budget.
+def test_a_pass_holds_at_most_twice_the_budget(monkeypatch):
+    # At n = 5000 a block holds one word, whose tiles of 326 rows hold fewer
+    # rows than n + 1.  The word's running top and kept rows take about half
+    # the budget.
     rows = np.random.default_rng(2).standard_normal((20_000, 100))
     emb = embedding([f"w{i}" for i in range(len(rows))], rows)
     monkeypatch.setattr(_util, "CHUNK_ELEMENTS", 10 * len(emb))
-    monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
     budget = 10 * len(emb) * 4
     original, passes = neighborhood._candidates, []
 

@@ -23,6 +23,7 @@ from topolysemy import (
     write_key,
 )
 from topolysemy.cli import build_parser, main
+from topolysemy.tps import load_tps_csv
 from topolysemy.wsi import SenseKey
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -112,6 +113,22 @@ def test_run_semeval_drops_zero_vectors(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(outdir)) == ["scores.csv", "system.key", "tps.csv"]
 
 
+def counted_tps_batch(monkeypatch):
+    """The (words, n) of every tps_batch call, through the binding the script imports and the one run_opn calls."""
+    calls = []
+
+    def counted(real):
+        def tps_batch(embeddings, words, n, **kwargs):
+            calls.append((list(words), n))
+            return real(embeddings, words, n, **kwargs)
+
+        return tps_batch
+
+    monkeypatch.setattr(topolysemy, "tps_batch", counted(topolysemy.tps_batch))
+    monkeypatch.setattr(topolysemy.wsi, "tps_batch", counted(topolysemy.wsi.tps_batch))
+    return calls
+
+
 def test_run_semeval_auto_k_scores_each_target_once(tmp_path, monkeypatch, capsys):
     data = planted_two_sense_dataset()
     words = ["b0w0", "b0w5", "b1w3", "b1w7"]
@@ -120,18 +137,7 @@ def test_run_semeval_auto_k_scores_each_target_once(tmp_path, monkeypatch, capsy
         instances=data.instances + tuple(Instance(target=w, id="x", tokens=("pivot",)) for w in words),
         gold=SenseKey(rows=data.gold.rows + tuple((w, "x", "g") for w in words)),
     )
-    calls = []
-
-    def counted(real):
-        def tps_batch(embeddings, targets, n, **kwargs):
-            calls.append((list(targets), n))
-            return real(embeddings, targets, n, **kwargs)
-
-        return tps_batch
-
-    # Both bindings: the one the script imports and the one run_opn calls.
-    monkeypatch.setattr(topolysemy, "tps_batch", counted(topolysemy.tps_batch))
-    monkeypatch.setattr(topolysemy.wsi, "tps_batch", counted(topolysemy.wsi.tps_batch))
+    calls = counted_tps_batch(monkeypatch)
     outdir = tmp_path / "eval"
     run_script(
         "run_semeval.py", monkeypatch,
@@ -142,6 +148,30 @@ def test_run_semeval_auto_k_scores_each_target_once(tmp_path, monkeypatch, capsy
     assert calls == [([*words, "pivot"], 10)]
     assert "scored 5 targets (n=10)" in capsys.readouterr().out
     assert sorted(os.listdir(outdir)) == ["scores.csv", "system.key", "tps.csv"]
+
+
+@pytest.mark.parametrize(
+    "backend", [("--n", "48"), ("--backend", "kmeans", "--k", "auto", "--n", "20")], ids=["dbscan", "kmeans-auto"]
+)
+def test_run_semeval_writes_one_tps_row_per_word(tmp_path, monkeypatch, capsys, backend):
+    # pivot.n and pivot.v both resolve to the vocabulary word pivot.
+    data = planted_two_sense_dataset()
+    targets = ["b0w0", "b1w3", "pivot.v"]
+    planted = dataclasses.replace(
+        data,
+        instances=data.instances + tuple(Instance(target=t, id="x", tokens=("pivot",)) for t in targets),
+        gold=SenseKey(rows=data.gold.rows + tuple((t, "x", "g") for t in targets)),
+    )
+    calls = counted_tps_batch(monkeypatch)
+    outdir = tmp_path / "eval"
+    run_script(
+        "run_semeval.py", monkeypatch,
+        *semeval_inputs(tmp_path, planted.embeddings, planted),
+        "--outdir", str(outdir), "--tps-n", "10", *backend,
+    )
+    assert "scored 4 targets (n=10)" in capsys.readouterr().out
+    assert calls == [(["b0w0", "b1w3", "pivot"], 10)]
+    assert [(r.word, r.n) for r in load_tps_csv(outdir / "tps.csv")] == [("b0w0", 10), ("b1w3", 10), ("pivot", 10)]
 
 
 def test_run_semeval_reports_input_errors_in_one_line(tmp_path, monkeypatch, capsys):

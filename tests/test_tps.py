@@ -138,11 +138,9 @@ class TestTpsBatch:
         singles = [tps_score(emb, w, 6) for w in words]
         monkeypatch.setattr(neighborhood, "_BLOCK_WORDS", block)
         for tile in (1, 3, 40):
-            for float32_words in (1, block + 1):
-                monkeypatch.setattr(neighborhood, "_tile_rows", lambda width, dim, dtype: tile)
-                monkeypatch.setattr(neighborhood, "_FLOAT32_WORDS", float32_words)
-                assert tps_batch(emb, words, n=6, workers=1) == singles
-                assert tps_batch(emb, words, n=6, workers=2) == singles
+            monkeypatch.setattr(neighborhood, "_tile_rows", lambda dim: tile)
+            assert tps_batch(emb, words, n=6, workers=1) == singles
+            assert tps_batch(emb, words, n=6, workers=2) == singles
 
 
 class TestPercentileTable:

@@ -475,6 +475,23 @@ class TestInstanceIo:
         with pytest.raises(ParseError, match=":1:"):
             load_instances(path)
 
+    def test_a_repeated_instance_names_both_lines(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        path.write_text(
+            '{"target": "bank.n", "id": "bank.n.1", "tokens": ["a"]}\n'
+            '{"target": "bank.v", "id": "bank.n.1", "tokens": ["b"]}\n'
+            "\n"
+            '{"target": "bank.n", "id": "bank.n.1", "tokens": ["c"]}\n'
+        )
+        with pytest.raises(ParseError) as raised:
+            load_instances(path)
+        assert str(raised.value) == (
+            f"{path}:4: duplicate instance 'bank.n.1' for target 'bank.n' (first seen on line 1)"
+        )
+        # The same id under another target is a different instance.
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        assert [(i.target, i.id) for i in load_instances(path)] == [("bank.n", "bank.n.1"), ("bank.v", "bank.n.1")]
+
 
 class TestKeyIo:
     def test_round_trip(self, tmp_path):
