@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import secrets
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -102,7 +101,7 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write through a sibling temp file + rename so partial output is never visible."""
     # A name of fixed length: one derived from path's own could pass NAME_MAX when path's is near it.
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
     # open(path, "w")'s mode: the kernel applies the umask; O_EXCL never opens an existing file.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -187,15 +187,16 @@ def load_nonempty_instances(path: str) -> list[Instance]:
 
 
 def cmd_tps(args: argparse.Namespace) -> int:
-    embeddings = load_vectors(args.vectors)
-    if args.all_words:
-        requested = list(embeddings.words)
-    else:
+    # The words file is read before the vectors, so an error in it shows before the long parse.
+    if not args.all_words:
         # ASCII whitespace, as .vec words split on: a word may hold U+3000 or U+00A0.
         listed = [word for line in utf8_lines(args.words) if (word := line.strip(string.whitespace))]
         requested = list(dict.fromkeys(listed))
         if len(requested) < len(listed):
             logger.warning(f"skipping {len(listed) - len(requested)} repeated words")
+    embeddings = load_vectors(args.vectors)
+    if args.all_words:
+        requested = list(embeddings.words)
     in_vocab = [w for w in requested if w in embeddings]
     oov = [w for w in requested if w not in embeddings]
     if oov:
@@ -230,8 +231,9 @@ def opn_config(args: argparse.Namespace) -> OpnConfig:
 
 
 def cmd_wsi(args: argparse.Namespace) -> int:
-    embeddings = load_vectors(args.vectors)
+    # As in cmd_tps, the small input is read first.
     instances = load_nonempty_instances(args.instances)
+    embeddings = load_vectors(args.vectors)
     result = run_opn(embeddings, instances, opn_config(args))
     write_key(result.key, args.out)
     print(

@@ -38,11 +38,11 @@ _PARSE_BLOCK_BYTES = 64 * 1024
 # read a token holding one.
 _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Smallest byte range of a .vec body worth a forked parse worker; smaller
-# files are parsed in this process alone.  A worker first counts the lines
-# before its range that are not blank, at about 0.33 ns a byte
-# (page-cached, numpy compare and nonzero) against about 9 ns a byte to
-# parse: the last of W workers counts (W - 1)/W of the body, 3.6% of its
-# parse at W = 2 and 25% at W = 8 (tps-vocab input, 83.5 MB, 2 vCPUs).
+# files are parsed in this process alone.  A worker first counts the
+# newlines before its range, at about 0.32 ns a byte (page-cached, numpy
+# compare and count_nonzero) against about 9 ns a byte to parse: the last
+# of W workers counts (W - 1)/W of the body.  A blank line before a range
+# makes its count too high, and the serial pass parses the body.
 _MIN_RANGE_BYTES = 1 << 20
 
 _COUNT_RE = re.compile(r"[0-9]+")
@@ -129,13 +129,13 @@ def load_vec_file(path) -> EmbeddingSet:
     A body that _cuts leaves whole (small, one worker, or a pipe) takes one
     _parse_serially pass, which names the first error.  Otherwise
     _parse_range, which names no error, parses it in up to worker_count()
-    newline-aligned byte ranges, all but the first in forked workers, which
-    send back the row their range starts at and its words.  If a range
-    fails or its rows do not start where those before it end, or the rows
-    found are not N, the serial pass parses the body again in this process.
-    A repeated word leaves the index a row short, so the next range's start
-    or the final count shows it.  A worker that dies raises
-    ChildProcessError.
+    newline-aligned byte ranges, all but the first in forked workers.  A
+    worker takes the newlines before its range as the row it starts at, and
+    sends back that row and its words.  If a range fails or its rows do not
+    start where those before it end, or the rows found are not N, the
+    serial pass parses the body again in this process: a blank line before
+    a range, or a repeated word, which leaves the index a row short, sends
+    it there.  A worker that dies raises ChildProcessError.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -177,8 +177,8 @@ def load_vec_file(path) -> EmbeddingSet:
         def admit(parsed: tuple[int, list[str]] | None) -> bool:
             """Index a range's words; False if it failed or its rows do not start where those before it end.
 
-            A repeated word leaves the index a row short, so the next range's
-            offset or the final count fails, and the serial pass names it.
+            A blank line or a repeated word before the range's end makes
+            this offset, the next one or the final count miss the index.
             """
             if parsed is None or parsed[0] != len(index):
                 return False
@@ -317,31 +317,21 @@ def _line_blocks(handle: BinaryIO, end: int | None, step: int) -> Iterator[list[
 
 
 def _rows_before(handle: BinaryIO, start: int, stop: int) -> int:
-    """The lines that are not blank in handle's bytes [start, stop), both line starts; leave handle at stop.
+    """The newlines in handle's bytes [start, stop); leave handle at stop.
 
-    The bytes are read _PARSE_BLOCK_BYTES at a time, to count their newlines
-    and to find the lines whose first byte is b" " or below.  Each of those
-    is read again alone, to see whether it is blank.
+    These are the rows before stop unless a line before it is blank; then
+    admit refuses the range, and the serial pass parses the body.
     """
     handle.seek(start)
-    # text[0] is the byte before the latest read: a line starts after each newline in text[:got].
-    text = np.empty(_PARSE_BLOCK_BYTES + 1, dtype=np.uint8)
-    text[0] = ord("\n")
+    text = np.empty(_PARSE_BLOCK_BYTES, dtype=np.uint8)
     newline = np.empty(_PARSE_BLOCK_BYTES, dtype=bool)
-    lines, suspects, at = 0, [], start
-    while at < stop:
-        got = handle.readinto(text[1 : 1 + min(_PARSE_BLOCK_BYTES, stop - at)])
+    lines = 0
+    while start < stop:
+        got = handle.readinto(text[: min(_PARSE_BLOCK_BYTES, stop - start)])
         if not got:
             break
-        ends = np.flatnonzero(np.equal(text[:got], ord("\n"), out=newline[:got]))
-        lines += ends.size
-        suspects += (at + ends[text[ends + 1] <= ord(" ")]).tolist()
-        text[0] = text[got]
-        at += got
-    for at in suspects:
-        handle.seek(at)
-        lines -= not handle.readline().split()
-    handle.seek(stop)
+        lines += np.count_nonzero(np.equal(text[:got], ord("\n"), out=newline[:got]))
+        start += got
     return lines
 
 

@@ -157,6 +157,25 @@ class TestTpsCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "threads, error", [("0", "must be >= 1, got 0"), ("abc", "must be an integer, got 'abc'")]
+    )
+    def test_invalid_thread_count_is_one_error_line(
+        self, planted_files, tmp_path, monkeypatch, capsys, threads, error
+    ):
+        monkeypatch.setenv("TPS_THREADS", threads)
+        out = tmp_path / "scores.csv"
+        assert main(["tps", "--vectors", str(planted_files["vectors"]), "--all", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: TPS_THREADS {error}\n")
+        assert not out.exists()
+
+    def test_non_integer_n_rejected_by_parser(self, planted_files, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            argv = ["tps", "--vectors", str(planted_files["vectors"]), "--all", "--n", "abc"]
+            main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "argument --n: expected an integer, got 'abc'" in capsys.readouterr().err
+
     def test_missing_vectors_file(self, tmp_path, capsys):
         rc = main(
             ["tps", "--vectors", str(tmp_path / "nope.vec"), "--all", "--out", str(tmp_path / "x.csv")]
@@ -644,6 +663,36 @@ class TestPaths:
         assert not [path for path in tmp_path.iterdir() if path.name.startswith(".tmp-")]
 
 
+class TestSmallInputsFirst:
+    """tps and wsi read their words or instances before the vectors, so an error in them comes first."""
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(topolysemy.cli, "load_unit_vectors", lambda path: calls.append(path))
+        return calls
+
+    def test_tps_words_error_before_the_vectors_load(self, planted_files, tmp_path, capsys, loads):
+        words = tmp_path / "words.txt"
+        words.write_bytes(b"pivot\npivot\n\xffx\n")
+        out = tmp_path / "t.csv"
+        argv = ["tps", "--vectors", planted_files["vectors"], "--words", words, "--out", out]
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {words}:3: b'\\xff' is not valid UTF-8\n")
+        assert loads == [] and not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"target": \n', ""], ids=["invalid-json", "no-instances"])
+    def test_wsi_instances_error_before_the_vectors_load(self, planted_files, tmp_path, capsys, loads, text):
+        instances = tmp_path / "instances.jsonl"
+        instances.write_text(text)
+        out = tmp_path / "system.key"
+        argv = ["wsi", "--vectors", planted_files["vectors"], "--instances", instances, "--out", out]
+        assert main([str(arg) for arg in argv]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert loads == [] and not out.exists()
+
+
 class TestInvalidUtf8:
     """Every text input names the path and line of bytes that are not UTF-8."""
 
@@ -692,9 +741,10 @@ def fresh_python(*args, check=True):
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # hmac and _hashlib, which the secrets module imports, add about 4 ms to each start.
     code = (
         "import sys, topolysemy.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'hmac', '_hashlib') if m in sys.modules])"
     )
     assert fresh_python("-c", code).stdout == "[]\n"
 

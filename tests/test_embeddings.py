@@ -361,8 +361,9 @@ def test_first_error_in_file_order_across_ranges(tmp_path, monkeypatch, workers,
     assert len(passes) == (error is not None)
 
 
-# A worker's rows start at the count of lines before its range that are not
-# blank, so blank lines before, within and after ranges keep the ranges.
+# A worker's rows start at the count of newlines before its range, so a
+# blank line before a range sends the body to the serial pass; blank lines
+# within and after ranges, and errors anywhere, load as the reference does.
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize(
     "text",
@@ -434,13 +435,30 @@ def test_rows_do_not_cross_a_workers_pipe(tmp_path, monkeypatch, blanks):
 
     monkeypatch.setattr(embeddings, "_fork", draining)
     monkeypatch.setattr(embeddings, "_line_blocks", recording)
+    passes = serial_passes(monkeypatch)
     parse_in_ranges(monkeypatch, 2)
     emb = load_vec_file(path)
     assert emb.vectors.tobytes() == rows.tobytes()
-    # This process parsed its own range only: it took the worker's rows, with no serial pass.
-    assert len(parsed) == 1 and parsed[0] is not None
+    # A blank line before the worker's range puts its rows' start past this process's rows.
+    assert len(passes) == bool(blanks)
+    if not blanks:
+        # This process parsed its own range only: it took the worker's rows.
+        assert len(parsed) == 1 and parsed[0] is not None
     # The worker sends only its words and the row they start at, fewer bytes than one row.
     assert len(sent) == 1 and 0 < sent[0] < rows[0].nbytes
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_rows_before_a_range_are_its_newlines(monkeypatch, block):
+    # Reads of 1 and 7 bytes split lines, and the CRLF pairs of some.
+    text = b"a 1\n\nb 2\r\n \t \nc\r3\n\r\n\r\nd 4\n   \ne\x0b5\n\n"
+    handle = io.BytesIO(text)
+    monkeypatch.setattr(embeddings, "_PARSE_BLOCK_BYTES", block)
+    starts = [0] + [at + 1 for at, byte in enumerate(text) if byte == ord("\n")]
+    for start in starts:
+        for stop in starts[starts.index(start) :]:
+            assert embeddings._rows_before(handle, start, stop) == text[start:stop].count(b"\n")
+            assert handle.tell() == stop
 
 
 @pytest.mark.parametrize("end", ["exit", "raise", "kill"])
@@ -800,6 +818,9 @@ class TestCountTable:
 
     def test_empty_file(self, tmp_path):
         assert len(load_count_table(write(tmp_path / "c.tsv", ""))) == 0
+
+    def test_empty_lines_skipped(self, tmp_path):
+        assert load_count_table(write(tmp_path / "c.tsv", "x\t1\n\n\r\ny\t2\n")) == {"x": 1, "y": 2}
 
     def test_negative_count(self, tmp_path):
         with pytest.raises(ParseError, match="nonnegative"):

@@ -250,6 +250,28 @@ class TestTpsCsv:
             load_tps_csv(path)
         assert str(raised.value) == f"{path}:3: unparseable row {['b', '50', raw_score]!r}"
 
+    @pytest.mark.parametrize("row", ["b,50", "b,50,1.0,x"], ids=["2-fields", "4-fields"])
+    def test_row_of_other_than_3_fields_rejected(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"word,n,tps\na,50,1.0\n{row}\n")
+        with pytest.raises(ParseError) as raised:
+            load_tps_csv(path)
+        assert str(raised.value) == f"{path}:3: expected 3 fields, got {row.count(',') + 1}"
+
+    # float() reads all three.
+    @pytest.mark.parametrize("raw_score", ["-1", "inf", "nan"])
+    def test_negative_or_non_finite_score_rejected(self, tmp_path, raw_score):
+        path = tmp_path / "t.csv"
+        path.write_text(f"word,n,tps\na,50,1.0\nb,50,{raw_score}\n")
+        with pytest.raises(ParseError) as raised:
+            load_tps_csv(path)
+        assert str(raised.value) == f"{path}:3: invalid score for 'b'"
+
+    def test_empty_line_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("word,n,tps\na,50,1.0\n\nb,50,2.0\n")
+        assert [(r.word, r.n, r.score) for r in load_tps_csv(path)] == [("a", 50, 1.0), ("b", 50, 2.0)]
+
 
 def test_report_rejects_negative_score():
     with pytest.raises(ValueError):

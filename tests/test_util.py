@@ -46,6 +46,16 @@ def test_atomic_write_takes_a_name_near_the_length_limit(tmp_path):
     assert os.listdir(tmp_path) == [path.name]
 
 
+def test_atomic_write_that_fails_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "atomic.txt"
+    path.write_bytes(b"old\n")
+    # A lone surrogate cannot be encoded as UTF-8.
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\udcff")
+    assert os.listdir(tmp_path) == ["atomic.txt"]
+    assert path.read_bytes() == b"old\n"
+
+
 # Only the returned cap is checked: no pool of the requested size is started.
 @pytest.mark.parametrize(
     "threads, cpus, cap",

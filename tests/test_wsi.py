@@ -506,6 +506,11 @@ class TestKeyIo:
         write_key(key, path)
         assert path.read_text() == "t i t.sense_0\n"
 
+    def test_empty_lines_skipped(self, tmp_path):
+        path = tmp_path / "k.key"
+        path.write_text("t i a\n\n \r\nt j b\n")
+        assert load_key(path).rows == (("t", "i", "a"), ("t", "j", "b"))
+
     def test_bad_arity_rejected(self, tmp_path):
         path = tmp_path / "k.key"
         path.write_text("t i\n")
