@@ -37,14 +37,13 @@ COINCIDENT_EPS = 1e-12
 _BLOCK_WORDS = 256
 # Float32 values' worth of bytes that one word of a pass takes, per unit
 # of n + 1 + d: its block row (gathered in float64, then cast), its
-# running k = n + 1 largest similarities and its kept rows.  Between
-# prunes a block keeps at most 3k rows per word, an int64 key and a
-# float32 value each, and a prune holds them with their concatenated copy,
-# its word indices, floors and mask and the pruned result: about 25 bytes
-# per row, 75k bytes.  The running top, a k-column array merged with up to
-# k more, takes 16k bytes more.  That is about 23 values per unit of k,
-# and at most 4 per unit of d; 32 leaves room for the temporaries of
-# small k.
+# running k = n + 1 largest similarities and its kept rows.  Before a
+# prune a word holds at most 2k rows, an int64 key and a float32 value
+# each, and the prune holds them with their word indices, floors and mask
+# and the pruned result: about 25 bytes per row, 50k bytes.  The running
+# top, a k-column array merged with up to k more, takes 16k bytes more.
+# That is about 17 values per unit of k, and at most 4 per unit of d; 32
+# leaves room for the tile's new keys and the temporaries of small k.
 _KEPT_VALUES = 32
 
 
@@ -176,11 +175,12 @@ def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.nda
     so the exact (k - 1)-th nearest row but the center lies within one
     margin below it, and so does every row tied with or nearer than that
     one, within one more margin.  Tile, product and copy hold at most
-    CHUNK_ELEMENTS float32 values.  The kept rows are pruned to the cut
-    whenever they outnumber 2k per word; since a tile adds at most k rows
-    per word beyond those tied within the band with the cut, each word
-    holds at most _KEPT_VALUES * (k + d) float32 values' worth of its row,
-    kept rows and running top.
+    CHUNK_ELEMENTS float32 values.  After every tile the kept rows are
+    pruned to the floor, the cut less the band, which never falls; a word
+    then keeps k rows and adds at most k from the next tile, beyond those
+    tied within the band with its cut, so it holds at most
+    _KEPT_VALUES * (k + d) float32 values' worth of its row, kept rows and
+    running top.
     """
     count, dim = vectors.shape
     width = len(rows)
@@ -192,9 +192,9 @@ def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.nda
     band = 2.0 * _float32_margin(dim)
     top = np.empty((width, 0), dtype=np.float32)
     floor = np.full(width, -np.inf, dtype=np.float32)
-    # Kept rows as word * count + row, with their similarities, one part per tile.
-    keys: list[np.ndarray] = []
-    values: list[np.ndarray] = []
+    # Kept rows as word * count + row, with their similarities.
+    found = np.empty(0, dtype=np.int64)
+    value = np.empty(0, dtype=np.float32)
     for start in range(0, count, tile):
         span = min(tile, count - start)
         part = cast[:span]
@@ -216,16 +216,10 @@ def _candidates(vectors: np.ndarray, rows: Sequence[int], k: int) -> list[np.nda
             similarities, floor[:, None], out=copy.view(np.bool_)[: width * span].reshape(width, span)
         )
         flat = np.flatnonzero(mask)
-        keys.append(flat // span * count + (flat % span + start))
-        values.append(similarities.ravel()[flat])
-        if start + span == count or sum(piece.size for piece in keys) > 2 * width * k:
-            found, value = np.concatenate(keys), np.concatenate(values)
-            keys.clear()
-            values.clear()
-            kept = value >= floor[found // count]
-            keys.append(found[kept])
-            values.append(value[kept])
-    found = keys[0]
+        found = np.concatenate([found, flat // span * count + (flat % span + start)])
+        value = np.concatenate([value, similarities.ravel()[flat]])
+        kept = value >= floor[found // count]
+        found, value = found[kept], value[kept]
     found.sort()
     return np.split(found % count, np.cumsum(np.bincount(found // count, minlength=width))[:-1])
 

@@ -250,3 +250,20 @@ def test_criterion_8_soft_reproduction_on_user_data():
         in_window and freq_ok,
         detail,
     )
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: pinched_neighborhood_embedding(0), "k must be >= 1, got 0"),
+        (lambda: pinched_neighborhood_embedding(3, dim=3), "dim=3 too small for 3 orthonormal tangent axes"),
+        (lambda: planted_two_sense_dataset(bundle_size=3), "bundle_size must be >= 4, got 3"),
+        (lambda: planted_two_sense_dataset(instances_per_sense=0), "instances_per_sense must be >= 1, got 0"),
+        (lambda: random_embedding(0, 3), "need n_words >= 1 and dim >= 1, got 0, 3"),
+        (lambda: random_embedding(3, 0), "need n_words >= 1 and dim >= 1, got 3, 0"),
+    ],
+    ids=["no-caps", "narrow-dim", "small-bundle", "no-instances", "no-words", "no-dim"],
+)
+def test_synthetic_fixtures_reject_bad_sizes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -751,6 +751,8 @@ def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
 
 def test_tps_and_wsi_run_without_loading_scipy(planted_files, tmp_path):
     # A second target makes the percentile table of --k auto non-degenerate.
+    # numpy.random imports secrets, hence hmac, _hashlib and OpenSSL's
+    # libcrypto; only k-means, run last, draws from numpy's generator.
     instances = tmp_path / "two.jsonl"
     instances.write_text(
         planted_files["instances"].read_text() + '{"target": "b0w0.n", "id": "b0w0.1", "tokens": ["b0w1"]}\n'
@@ -763,11 +765,13 @@ def test_tps_and_wsi_run_without_loading_scipy(planted_files, tmp_path):
     ]
     code = (
         "import json, sys; from topolysemy.cli import main; "
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "*first, kmeans = json.loads(sys.argv[1]); codes = [main(argv) for argv in first]; "
+        "random = [m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib') if m in sys.modules]; "
+        "codes.append(main(kmeans)); "
+        "print(codes, random, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = fresh_python("-c", code, json.dumps([[str(arg) for arg in argv] for argv in runs]))
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] []"
 
 
 def test_every_command_closes_its_files_in_dev_mode(planted_files, tmp_path):

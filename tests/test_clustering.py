@@ -308,6 +308,12 @@ def test_float32_product_lies_within_half_the_filter_margin(rng, dim):
     assert np.abs(single[:1] @ single.T - exact[:1]).max() <= bound
 
 
+@pytest.mark.parametrize("cluster", [dbscan, lambda points: kmeans(points, 1)], ids=["dbscan", "kmeans"])
+def test_points_must_be_a_matrix(cluster):
+    with pytest.raises(ValueError, match=r"points must be a 2-d matrix, got shape \(2,\)"):
+        cluster(np.array([1.0, 0.0]))
+
+
 class TestKmeans:
     def test_k_one_uses_the_mean(self, rng):
         points = rng.standard_normal((12, 3))
@@ -539,6 +545,15 @@ class TestClusteringValidation:
     def test_label_below_noise_rejected(self):
         with pytest.raises(ValueError, match="labels must lie"):
             Clustering(labels=np.array([-2, 0]), n_clusters=1)
+
+    @pytest.mark.parametrize(
+        "labels, n_clusters, match",
+        [([[0]], 1, r"labels must be 1-d, got shape \(1, 1\)"), ([], -1, "n_clusters must be >= 0, got -1")],
+        ids=["2-d-labels", "negative-clusters"],
+    )
+    def test_malformed_arguments_rejected(self, labels, n_clusters, match):
+        with pytest.raises(ValueError, match=match):
+            Clustering(labels=np.array(labels, dtype=np.int64), n_clusters=n_clusters)
 
     def test_empty_needs_zero_clusters(self):
         with pytest.raises(ValueError, match="n_clusters must be 0"):

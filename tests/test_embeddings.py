@@ -654,6 +654,10 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             EmbeddingSet(words=("a",), vectors=np.eye(2))
 
+    def test_vectors_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=r"vectors must be a 2-d matrix, got shape \(2,\)"):
+            EmbeddingSet(words=("a", "b"), vectors=np.ones(2))
+
     def test_vectors_read_only(self):
         emb = EmbeddingSet(words=("a",), vectors=np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):

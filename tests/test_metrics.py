@@ -103,6 +103,8 @@ class TestPairedFscore:
 
     def test_pair_counts(self):
         assert pair_counts(["a", "a", "b", "b"], [0, 0, 1, 2]) == (1, 1, 2)
+        with pytest.raises(ValueError, match="2 gold labels vs 1 predicted"):
+            pair_counts(["a", "b"], [0])
 
     @given(paired_labelings())
     def test_matches_pair_enumeration_oracle(self, pair):
@@ -188,6 +190,20 @@ class TestPearson:
     def test_constant_input(self):
         with pytest.raises(ValueError, match="constant"):
             pearson_with_p([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "x, y, match",
+        [
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "equal-length 1-d sequences"),
+            ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], "equal-length 1-d sequences"),
+            ([1.0, 2.0, float("nan")], [1.0, 2.0, 3.0], "non-finite"),
+            ([1.0, 2.0, 3.0], [1.0, float("inf"), 3.0], "non-finite"),
+        ],
+        ids=["unequal", "2-d", "nan", "inf"],
+    )
+    def test_malformed_inputs_rejected(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            pearson_with_p(x, y)
 
 
 def key_from(labels_by_target):

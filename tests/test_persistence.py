@@ -51,6 +51,19 @@ class TestDegree0Diagram:
         assert len(d) == 0
         assert d.bars.shape == (0, 2)
 
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            (np.zeros(3), r"points must be a 2-d matrix, got shape \(3,\)"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0]]), "points contain non-finite components"),
+            (np.array([[0.0, 1.0], [0.0, -np.inf]]), "points contain non-finite components"),
+        ],
+        ids=["1-d", "nan", "inf"],
+    )
+    def test_malformed_points_rejected(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            degree0_diagram(points)
+
     def test_bar_count_and_births(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 12))

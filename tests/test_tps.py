@@ -172,6 +172,11 @@ class TestPercentileTable:
         with pytest.raises(ValueError, match="zero scores"):
             PercentileTable(scores={})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores contain non-finite values"):
+            PercentileTable(scores={"a": 1.0, "b": bad})
+
 
 class TestPredictedK:
     @pytest.mark.parametrize(

@@ -169,6 +169,11 @@ class TestInduceSenses:
         with pytest.raises(ValueError, match="k must be >= 1"):
             induce_senses(emb, "w", 2, KmeansConfig(k=0))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_opn_config_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            OpnConfig(n=n)
+
     def test_kmeans_config_rejects_a_negative_seed(self):
         assert KmeansConfig(seed=0).seed == 0
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
