@@ -248,7 +248,9 @@ def _cloud(
         if not project:
             return NeighborhoodCloud(
                 center=word,
-                words=tuple(embeddings.words[i] for i in ranked),
+                # A memoryview yields the rows as Python ints one at a time: they index
+                # the tuple faster than numpy integers, and no list of n of them is held.
+                words=tuple(embeddings.words[i] for i in memoryview(ranked)),
                 points=vectors[ranked],
             )
         offsets = vectors[ranked] - vectors[center_row]
@@ -262,7 +264,7 @@ def _cloud(
         candidates = _candidates(vectors, [center_row], k)[0]
     return NeighborhoodCloud(
         center=word,
-        words=tuple(embeddings.words[i] for i in ranked[kept]),
+        words=tuple(embeddings.words[i] for i in memoryview(ranked[kept])),
         points=offsets[kept] / distances[kept, None],
-        skipped=tuple(embeddings.words[i] for i in ranked[~kept]),
+        skipped=tuple(embeddings.words[i] for i in memoryview(ranked[~kept])),
     )

@@ -44,6 +44,11 @@ class TestVMeasure:
         assert score.completeness == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert score.v_measure == pytest.approx(0.8, abs=1e-12)
 
+    def test_crossed_partitions_score_zero(self):
+        # Each cluster holds one of each class: homogeneity and completeness are both 0.
+        score = v_measure(["a", "a", "b", "b"], ["x", "y", "x", "y"])
+        assert (score.homogeneity, score.completeness, score.v_measure) == (0.0, 0.0, 0.0)
+
     def test_single_gold_class_defines_homogeneity_as_one(self):
         score = v_measure(["a", "a", "a"], [0, 1, 2])
         assert score.homogeneity == 1.0

@@ -175,6 +175,49 @@ class TestExactAgainstLinkage:
                 patch.setattr(_util, "CHUNK_ELEMENTS", block * points.shape[0])
             assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
 
+    @settings(max_examples=100)
+    @given(tie_heavy_clouds())
+    @pytest.mark.parametrize("forest_pairs", [0, 2**62], ids=["forest", "union-find"])
+    def test_both_kruskals_build_the_tree(self, forest_pairs, points):
+        # Every pool runs spanning_forest, or every pool the Python union-find.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persistence, "_FOREST_PAIRS", forest_pairs)
+            assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
+    @pytest.mark.parametrize("kind", ["lattice", "simplex", "duplicates"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_at_the_limit_are_the_full_matrix_pairs(self, kind, seed):
+        # Limits at every pair value, one ulp under it and half a margin under it: the loosened
+        # cut selects a superset, and exactly the pairs of the completed matrix remain.
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":
+            points = rng.integers(-2, 3, size=(30, 3)).astype(float)
+        elif kind == "simplex":
+            points = 3.0 * np.eye(8)[rng.integers(0, 8, 30)]
+        else:
+            points = projected(rng, 30, 16)
+            points[rng.integers(0, 30, 15)] = points[rng.integers(0, 30, 15)]
+        m = points.shape[0]
+        moved = points - points[0]
+        half = moved @ moved.T
+        norms = half.diagonal().copy()
+        half *= -2.0
+        half += norms[:, None]
+        half.flat[:: m + 1] = np.inf
+        sq = half + norms
+        margin = 2.0 * persistence._delta(points.shape[1], float(norms.max()))
+        for start, stop in [(0, m), (7, 19)]:
+            heads, tails = np.triu_indices(m, 1)
+            inside = (start <= heads) & (heads < stop)
+            heads, tails = heads[inside], tails[inside]
+            for value in np.unique(sq[heads, tails]):
+                for limit in (value, np.nextafter(value, -np.inf), value - margin / 2.0):
+                    rows, cols, values = persistence._pairs_below(half, norms, limit, margin, start, stop)
+                    below = sq[heads, tails] <= limit
+                    assert np.array_equal(rows, heads[below]) and np.array_equal(cols, tails[below])
+                    assert np.array_equal(values, sq[rows, cols])
+        assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
+
     @pytest.mark.parametrize("shape", ["separated", "uniform", "pinched-2", "pinched-4"])
     def test_clouds_the_scan_cannot_span(self, shape, monkeypatch):
         rng = np.random.default_rng(5)
@@ -191,7 +234,7 @@ class TestExactAgainstLinkage:
             points = punctured_neighborhood(embedding, center, k * per_cap, project=True).points
         calls = []
         prim = persistence._prim
-        monkeypatch.setattr(persistence, "_prim", lambda sq: calls.append(1) or prim(sq))
+        monkeypatch.setattr(persistence, "_prim", lambda half, norms: calls.append(1) or prim(half, norms))
         assert np.array_equal(degree0_diagram(points).deaths, linkage_deaths(points))
         assert calls
 
